@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check chaos diff-test serve-test serve-chaos soak bench bench-json trace-overhead telemetry-overhead bench-gate bench-history
+.PHONY: all build test race vet fmt check soak bench bench-json trace-overhead telemetry-overhead bench-gate bench-history
 
 all: check
 
@@ -10,12 +10,12 @@ build:
 test:
 	$(GO) test ./...
 
-# race runs the detector over the packages that share Engines across
-# goroutines: the interner/generation/cache synchronization lives in
-# internal/core, internal/alphabet (via internal/ha), internal/stream,
-# and the facade (the shared-Engine hammer in generation_test.go).
+# race runs the whole suite under the race detector, once: the
+# interner/generation/cache synchronization, the lock-free mirror
+# automaton, the stream pipeline, the fault-containment chaos and leak
+# tests, the differential harness and the serving daemon all run here.
 race:
-	$(GO) test -race ./internal/core/... ./internal/stream/... ./internal/alphabet/... .
+	$(GO) test -race -count=1 ./...
 
 vet:
 	$(GO) vet ./...
@@ -28,40 +28,6 @@ fmt:
 		exit 1; \
 	fi
 
-# chaos runs the fault-containment suite under the race detector: the
-# fault-injection chaos tests (poisoned feeds, forced panics, budgets,
-# timeouts), the goroutine-leak checks, and the faultinject harness's own
-# tests, across the splitter, the stream pipeline, and the facade.
-chaos:
-	$(GO) test -race -run 'Chaos|Leak|FaultInject' ./internal/stream/... ./internal/faultinject/... ./internal/xmlhedge/... ./debug/... .
-
-# diff-test runs the differential correctness harness under the race
-# detector: every (query, document) pair through the eager-determinized,
-# lazy-determinized, and prefiltered evaluation paths with identical
-# match sets and stats modulo prefilter skips, plus the lazy-vs-eager
-# fuzz seeds and the prefilter equivalence/property suites.
-diff-test:
-	$(GO) test -race -run 'Differential|Prefilter|Lazy|Skim' -count=1 . ./internal/stream/... ./internal/xmlhedge/... ./internal/core/... ./internal/ha/...
-
-# serve-test runs the query-serving daemon's suite under the race
-# detector: the httptest end-to-end differential (served matches ==
-# library matches per query), registration validation, per-tenant
-# budgets, admission control (429 under load), graceful drain, and the
-# goroutine-leak check.
-serve-test:
-	$(GO) test -race -count=1 ./internal/serve/...
-
-# serve-chaos runs the serving-layer resilience suite under the race
-# detector: slow-loris bodies and mid-feed disconnects (HTTP-layer fault
-# injection), kill-and-restart journal recovery (exact registration set,
-# quarantine, torn tails, compaction), per-feed circuit breakers
-# (trip/half-open/backoff at both the unit and HTTP level), and the
-# weighted-fair admitter (interleave, weights, per-tenant bounds, shed
-# order, drain-rate retry hints) — including the fairness-under-flood
-# pin with its goroutine-leak checks.
-serve-chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Journal|Breaker|Admitter|Admission|Leak' ./internal/serve/... ./internal/faultinject/...
-
 # soak is the opt-in endurance run, deliberately excluded from check:
 # 30 seconds of mixed-tenant traffic — steady posters, slow-loris drips,
 # mid-body hangups, and a poisoned feed cycling its breaker — against one
@@ -71,15 +37,13 @@ soak:
 	$(GO) test -race -count=1 -run TestSoak ./internal/serve/ -soak 30s -v
 
 # check is the CI gate: formatting, static analysis (go vet ./...), the
-# full test suite, the race detector over the concurrency-bearing
-# packages, the fault-containment chaos suite, the three-way
-# differential harness, the serving-layer suite, a quick perf-regression
-# run with the disabled-tracing budget enforced, the serving-telemetry
-# budget, and the streaming throughput gates against the committed
-# baseline and the multi-seed trajectory (the recorded baseline in
-# BENCH_core.json and the BENCH_history.ndjson entries come from the
+# full test suite, one race-detector run over every package, a quick
+# perf-regression run with the disabled-tracing budget enforced, the
+# serving-telemetry budget, and the streaming throughput gates against the
+# committed baseline and the multi-seed trajectory (the recorded baseline
+# in BENCH_core.json and the BENCH_history.ndjson entries come from the
 # non-quick runs).
-check: fmt vet build test race chaos diff-test serve-test serve-chaos trace-overhead telemetry-overhead bench-gate
+check: fmt vet build test race trace-overhead telemetry-overhead bench-gate
 
 bench:
 	$(GO) test -bench . -benchmem -run NONE ./...

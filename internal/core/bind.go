@@ -37,9 +37,13 @@ type BoundMatch struct {
 // LocateBindings locates every matching node and captures the bindings of
 // named bases. When the representation is ambiguous, one successful match
 // per node is chosen (use HasUniqueBindings to check uniqueness up front).
-func (c *CompiledPHR) LocateBindings(h hedge.Hedge) []BoundMatch {
-	recs, ar := c.annotate(h)
-	defer c.arenas.Put(ar)
+func (c *CompiledPHR) LocateBindings(h hedge.Hedge) []BoundMatch { return c.bindings(h, nil) }
+
+// bindings is LocateBindings with the e₁ condition sub (nil = any
+// subhedge).
+func (c *CompiledPHR) bindings(h hedge.Hedge, sub *subChecker) []BoundMatch {
+	recs, ar := c.annotate(h, nil, sub)
+	defer c.release(ar)
 
 	// The abstract NFA of the PHR's regular expression (forward, not
 	// mirrored): words are base-index sequences from the node's level up.
@@ -54,18 +58,18 @@ func (c *CompiledPHR) LocateBindings(h hedge.Hedge) []BoundMatch {
 		cands uint64
 	}
 	var chain []level
-	var walk func(h hedge.Hedge, recs []annot, prefix hedge.Path, parentState int)
-	walk = func(h hedge.Hedge, recs []annot, prefix hedge.Path, parentState int) {
+	var walk func(h hedge.Hedge, recs []annot, prefix hedge.Path, parent *mirrorState)
+	walk = func(h hedge.Hedge, recs []annot, prefix hedge.Path, parent *mirrorState) {
 		for i, n := range h {
 			if n.Kind != hedge.Elem {
 				continue
 			}
 			p := append(prefix, i)
 			ni := &recs[i]
-			cands := c.candidates(n.Name, ni.leftBits, ni.rightBits)
-			st := c.mirror.step(parentState, cands)
+			cands := c.candidates(ni.sym, ni.leftBits, ni.rightBits)
+			st := c.mirror.step(parent, cands)
 			chain = append(chain, level{n, p.Clone(), cands})
-			if c.mirror.accepting(st) {
+			if st.accept && ni.marked {
 				// Reconstruct the abstract word bottom-up: candidate sets
 				// from the node's level (last chain entry) to the top.
 				sets := make([][]int, len(chain))
@@ -94,7 +98,7 @@ func (c *CompiledPHR) LocateBindings(h hedge.Hedge) []BoundMatch {
 			chain = chain[:len(chain)-1]
 		}
 	}
-	walk(h, recs, nil, c.mirror.start())
+	walk(h, recs, nil, c.mirror.start)
 	sort.Slice(out, func(i, j int) bool { return lessPathCore(out[i].Path, out[j].Path) })
 	return out
 }
@@ -172,7 +176,7 @@ func (c *CompiledPHR) HasUniqueBindings() bool {
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if c.labels[i] != c.labels[j] {
+				if c.bases[i].sym != c.bases[j].sym {
 					continue // cannot co-occur in one candidate set
 				}
 				for _, ta := range nfa.Trans[cur.a][i] {

@@ -12,8 +12,9 @@ import (
 // returns one Result per document, in input order. The compiled query is
 // immutable after compilation except for the recycled evaluation arenas
 // and the lazily-determinized mirror automaton, both of which are safe
-// under concurrency (sync.Pool; the mirror is locked); a server answering
-// the same query over a document stream is the intended shape. When a
+// under concurrency (sync.Pool; the mirror's reads are lock-free and its
+// misses serialized, see mirrorDFA); a server answering the same query
+// over a document stream is the intended shape. When a
 // metrics sink is attached (SetMetrics), every worker's Select flushes
 // into it atomically, so bulk runs are observable while in flight.
 func (cq *CompiledQuery) BulkSelect(docs []hedge.Hedge, workers int) []*Result {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"xpe/internal/alphabet"
 	"xpe/internal/ha"
@@ -40,9 +41,7 @@ type CompiledPHR struct {
 	Gen uint64
 
 	comps []*component // deduplicated side automata
-	// Per base: component index of each side (-1 = any hedge).
-	leftComp, rightComp []int
-	labels              []int // base → interned label symbol
+	bases []baseTest   // per base: label and required membership bits
 
 	mirror *mirrorDFA
 
@@ -58,6 +57,18 @@ type CompiledPHR struct {
 	metrics *metrics.Eval
 }
 
+// maxComponents bounds the distinct side expressions of one PHR: component
+// i owns bit i of the uint64 sibling-membership sets.
+const maxComponents = 64
+
+// baseTest is one base representation as the second traversal tests it:
+// the label id, and the component bits its elder- and younger-sibling
+// conditions require (0 = any hedge).
+type baseTest struct {
+	sym         int32
+	left, right uint64
+}
+
 // SetMetrics attaches (or, with nil, detaches) an evaluation sink: every
 // Locate flushes its node, mark, and transition counts there. Do not call
 // concurrently with evaluation.
@@ -67,15 +78,19 @@ func (c *CompiledPHR) SetMetrics(m *metrics.Eval) { c.metrics = m }
 // DFAs in both directions — or, in lazy mode, an on-demand subset
 // construction behind the same stepping surface.
 type component struct {
-	dha  *ha.DHA
-	sink int      // state assigned to nodes outside the interned alphabet
-	fwd  *sfa.DFA // complete final DFA over dha states (prefix membership)
-	bwd  *sfa.DFA // complete DFA of the reversed final language (suffix membership)
+	dha *ha.DHA
+	fwd *sfa.DFA // complete final DFA over dha states (prefix membership)
+	bwd *sfa.DFA // complete DFA of the reversed final language (suffix membership)
 
-	// lazy, when non-nil, replaces dha/fwd/bwd on the evaluation paths:
-	// states and transitions materialize as documents demand them. The
-	// source NHA is retained so schema-level constructions (which need the
-	// concrete DFAs) can materialize the eager structures on first use.
+	// tab, fwdT and bwdT are dha, fwd and bwd flattened for evaluation;
+	// the map forms above serve the schema-level constructions.
+	tab        dhaTables
+	fwdT, bwdT sfa.Table
+
+	// lazy, when non-nil, replaces the eager structures on the evaluation
+	// paths: states and transitions materialize as documents demand them.
+	// The source NHA is retained so schema-level constructions (which need
+	// the concrete DFAs) can materialize the eager structures on first use.
 	lazy     *ha.LazyDet
 	nha      *ha.NHA
 	eager    sync.Once
@@ -83,8 +98,8 @@ type component struct {
 }
 
 // materialize builds the eager structures of a lazily compiled component.
-// Evaluation keeps using the lazy path (stateOf and the membership passes
-// branch on comp.lazy); the eager DFAs exist only for schema-level
+// Evaluation keeps using the lazy path (annotateIn and the membership
+// passes branch on comp.lazy); the eager DFAs exist only for schema-level
 // constructions like BuildMatchAutomaton, which run their own product
 // exploration and never mix states with the lazy ids.
 func (comp *component) materialize() {
@@ -101,6 +116,86 @@ func (comp *component) materialize() {
 		}
 		comp.dha, comp.fwd, comp.bwd = det.DHA, fwd, bwd
 	})
+}
+
+// dhaTables is a complete DHA in evaluation form: ι and every per-label
+// horizontal DFA flattened to tables. A label id past the compiled
+// alphabet — interned after compilation, or never — takes the sink, which
+// is what the complete automaton assigns to nodes over foreign labels.
+type dhaTables struct {
+	iota  []int32
+	horiz []horizTable // label id → horizontal table
+	none  horizTable   // stands in for labels without one (Start = Dead)
+	sink  int32
+}
+
+// horizTable is one label's horizontal DFA and, per DFA state, the DHA
+// state an element reaching it takes (alphabet.None = undefined).
+type horizTable struct {
+	sfa.Table
+	out []int32
+}
+
+func newDHATables(d *ha.DHA, sink int) dhaTables {
+	t := dhaTables{iota: ints32(make([]int32, len(d.Iota)), d.Iota), horiz: make([]horizTable, len(d.Horiz)),
+		none: horizTable{Table: sfa.Table{Start: sfa.Dead}}, sink: int32(sink)}
+	// One slab each for every label's rows and outputs: an alphabet of
+	// hundreds of labels then costs a handful of allocations, not three per
+	// label per automaton.
+	rows, outs := 0, 0
+	for _, hz := range d.Horiz {
+		if hz != nil {
+			rows += hz.DFA.NumStates * hz.DFA.NumSymbols
+			outs += len(hz.Out)
+		}
+	}
+	rowSlab, outSlab := make([]int32, rows), make([]int32, outs)
+	for sym, hz := range d.Horiz {
+		if hz == nil {
+			t.horiz[sym] = t.none
+			continue
+		}
+		n := hz.DFA.NumStates * hz.DFA.NumSymbols
+		t.horiz[sym] = horizTable{Table: hz.DFA.TableIn(rowSlab[:n:n]),
+			out: ints32(outSlab[:len(hz.Out):len(hz.Out)], hz.Out)}
+		rowSlab, outSlab = rowSlab[n:], outSlab[len(hz.Out):]
+	}
+	return t
+}
+
+// ints32 converts xs into dst, which has len(xs) entries, and returns dst.
+func ints32(dst []int32, xs []int) []int32 {
+	for i, x := range xs {
+		dst[i] = int32(x)
+	}
+	return dst
+}
+
+// leaf returns the state of a non-element node: ι of a known variable,
+// otherwise the sink.
+func (t *dhaTables) leaf(kind hedge.NodeKind, id int32) int32 {
+	if kind == hedge.Var && id >= 0 && int(id) < len(t.iota) && t.iota[id] >= 0 {
+		return t.iota[id]
+	}
+	return t.sink
+}
+
+// horizOf returns the horizontal table of element label id.
+func (t *dhaTables) horizOf(id int32) *horizTable {
+	if id < 0 || int(id) >= len(t.horiz) {
+		return &t.none
+	}
+	return &t.horiz[id]
+}
+
+// elem returns the state of an element whose children drove hz to st.
+func (t *dhaTables) elem(hz *horizTable, st int32) int32 {
+	if st != sfa.Dead {
+		if q := hz.out[st]; q >= 0 {
+			return q
+		}
+	}
+	return t.sink
 }
 
 // Options tunes PHR compilation; the zero value is the default
@@ -177,60 +272,80 @@ func CompilePHROpt(phr *PHR, names *ha.Names, opts Options) (*CompiledPHR, error
 	if len(phr.Bases) > 60 {
 		return nil, fmt.Errorf("core: at most 60 base representations supported, have %d", len(phr.Bases))
 	}
+	// Deduplicate the side expressions into components, in order of first
+	// appearance.
+	byKey := map[string]int{}
+	var sides []*hre.Expr
+	sideOf := func(e *hre.Expr) int {
+		if e == nil {
+			return -1
+		}
+		key := e.String()
+		idx, ok := byKey[key]
+		if !ok {
+			idx = len(sides)
+			byKey[key] = idx
+			sides = append(sides, e)
+		}
+		return idx
+	}
+	left, right := make([]int, len(phr.Bases)), make([]int, len(phr.Bases))
+	for i, b := range phr.Bases {
+		left[i], right[i] = sideOf(b.Left), sideOf(b.Right)
+	}
+	if len(sides) > maxComponents {
+		return nil, fmt.Errorf("core: at most %d distinct side expressions supported, have %d", maxComponents, len(sides))
+	}
 	// Intern the PHR's own alphabet first, then capture the generation:
 	// the automaton build below re-interns the same names idempotently, so
 	// Gen is the exact closed world the side automata range over.
 	internPHRAlphabet(phr, names)
 	c := &CompiledPHR{PHR: phr, Names: names, Gen: names.Generation()}
-	byKey := map[string]int{}
-	compileSide := func(e *hre.Expr) (int, error) {
-		if e == nil {
-			return -1, nil
-		}
-		key := e.String()
-		if idx, ok := byKey[key]; ok {
-			return idx, nil
-		}
-		nha, err := hre.Compile(e, names)
+	for _, e := range sides {
+		comp, err := compileComponent(e, names, opts)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		var comp *component
-		if opts.LazyDeterminize {
-			lz := nha.LazyDeterminize(ha.LazyOptions{TransitionBudget: opts.LazyTransitionBudget})
-			comp = &component{lazy: lz, nha: nha, sink: lz.Sink(), minimize: !opts.SkipMinimize}
-		} else {
-			det := nha.Determinize()
-			comp = &component{dha: det.DHA, sink: det.Subsets.Lookup(nil)}
-			comp.fwd = comp.dha.Final.Complete()
-			comp.bwd = comp.dha.Final.Reverse().Determinize().Complete()
-			if !opts.SkipMinimize {
-				comp.fwd = comp.fwd.Minimize()
-				comp.bwd = comp.bwd.Minimize()
-			}
-		}
-		idx := len(c.comps)
 		c.comps = append(c.comps, comp)
-		byKey[key] = idx
-		return idx, nil
 	}
-	for _, b := range phr.Bases {
-		c.labels = append(c.labels, names.Syms.Intern(b.Label))
-		li, err := compileSide(b.Left)
-		if err != nil {
-			return nil, err
+	bit := func(ci int) uint64 {
+		if ci < 0 {
+			return 0
 		}
-		ri, err := compileSide(b.Right)
-		if err != nil {
-			return nil, err
-		}
-		c.leftComp = append(c.leftComp, li)
-		c.rightComp = append(c.rightComp, ri)
+		return 1 << uint(ci)
+	}
+	for i, b := range phr.Bases {
+		c.bases = append(c.bases, baseTest{sym: int32(names.Syms.Intern(b.Label)),
+			left: bit(left[i]), right: bit(right[i])})
 	}
 	nfa := phr.Expr.CompileNFA(namesForBases(len(phr.Bases)))
 	nfa.GrowAlphabet(len(phr.Bases))
 	c.mirror = newMirrorDFA(nfa.Reverse())
 	return c, nil
+}
+
+// compileComponent compiles one side expression into its component
+// automaton.
+func compileComponent(e *hre.Expr, names *ha.Names, opts Options) (*component, error) {
+	nha, err := hre.Compile(e, names)
+	if err != nil {
+		return nil, err
+	}
+	if opts.LazyDeterminize {
+		lz := nha.LazyDeterminize(ha.LazyOptions{TransitionBudget: opts.LazyTransitionBudget})
+		return &component{lazy: lz, nha: nha, minimize: !opts.SkipMinimize}, nil
+	}
+	det := nha.Determinize()
+	comp := &component{dha: det.DHA}
+	comp.fwd = comp.dha.Final.Complete()
+	comp.bwd = comp.dha.Final.Reverse().Determinize().Complete()
+	if !opts.SkipMinimize {
+		comp.fwd = comp.fwd.Minimize()
+		comp.bwd = comp.bwd.Minimize()
+	}
+	comp.tab = newDHATables(comp.dha, det.Subsets.Lookup(nil))
+	comp.fwdT, comp.bwdT = comp.fwd.Table(), comp.bwd.Table()
+	return comp, nil
 }
 
 // MaxComponentStates returns the largest membership-DFA state count among
@@ -269,12 +384,45 @@ type Result struct {
 	Paths []hedge.Path
 }
 
+// add records one located node (an Algorithm 1 match callback).
+func (r *Result) add(p hedge.Path, n *hedge.Node) bool {
+	r.Located[n] = true
+	r.Paths = append(r.Paths, p.Clone())
+	return true
+}
+
+// ResolveLabels appends the label id of every node of h, in pre-order, to
+// dst and returns the extended slice: element labels from names.Syms,
+// variables from names.Vars, alphabet.None for other leaves and for names
+// never interned. Evaluation entries that take ids expect them resolved
+// against the query's own Names (CompiledQuery.Names), so a label interned
+// after compilation lies past the compiled alphabet and takes the sink.
+func ResolveLabels(h hedge.Hedge, names *ha.Names, dst []int32) []int32 {
+	for _, n := range h {
+		id := alphabet.None
+		switch n.Kind {
+		case hedge.Elem:
+			id = names.Syms.Lookup(n.Name)
+		case hedge.Var:
+			id = names.Vars.Lookup(n.Name)
+		}
+		dst = append(dst, int32(id))
+		if n.Kind == hedge.Elem {
+			dst = ResolveLabels(n.Children, names, dst)
+		}
+	}
+	return dst
+}
+
 // annot is the per-node record of the first traversal, arranged as a tree
 // parallel to the hedge so both traversals run map-free in document order.
 type annot struct {
-	compStates []int  // state per component (index parallels c.comps)
-	leftBits   uint64 // bit i: elder-sibling sequence ∈ F of component i
-	rightBits  uint64 // bit i: younger-sibling sequence ∈ F of component i
+	sym        int32   // label id (see ResolveLabels)
+	sub        int32   // e₁ DHA state (queries with a subhedge condition)
+	marked     bool    // subhedge ∈ L(e₁); always true without e₁
+	compStates []int32 // state per component (index parallels c.comps)
+	leftBits   uint64  // bit i: elder-sibling sequence ∈ F of component i
+	rightBits  uint64  // bit i: younger-sibling sequence ∈ F of component i
 	children   []annot
 }
 
@@ -282,18 +430,72 @@ type annot struct {
 // number of nodes (modulo lazy determinization of the mirror automaton,
 // which is amortized over the finite concrete alphabet).
 func (c *CompiledPHR) Locate(h hedge.Hedge) *Result {
-	recs, ar := c.annotate(h)
 	res := &Result{Located: map[*hedge.Node]bool{}}
-	c.secondPass(h, recs, nil, c.mirror.start(), res)
+	c.each(h, nil, nil, res.add)
+	return res
+}
+
+// each is Algorithm 1 over h with the e₁ condition sub (nil = any
+// subhedge): the first traversal annotates every node bottom-up, the second
+// steps the mirror automaton top-down and calls fn per located node in
+// document order with its Dewey path (reused between calls). ids are h's
+// label ids in c.Names (ResolveLabels); nil resolves them here. It returns
+// false when fn stopped the walk, and flushes one evaluation's counters to
+// the attached metrics sink.
+func (c *CompiledPHR) each(h hedge.Hedge, ids []int32, sub *subChecker, fn func(hedge.Path, *hedge.Node) bool) bool {
+	recs, ar := c.annotate(h, ids, sub)
+	w := eachPool.Get().(*eachWalker)
+	w.c, w.fn, w.marks = c, fn, 0
+	done := w.walk(h, recs, c.mirror.start)
 	if m := c.metrics; m != nil {
 		m.Docs.Inc()
-		m.Nodes.Add(int64(ar.size))
-		m.Marks.Add(int64(len(res.Paths)))
+		m.Nodes.Add(int64(len(ar.ids)))
+		m.Marks.Add(w.marks)
 		m.Transitions.Add(ar.steps + ar.elems)
 		c.flushLazy(m)
+		if sub != nil {
+			sub.flushLazy(m)
+		}
 	}
-	c.arenas.Put(ar)
-	return res
+	w.c, w.fn = nil, nil
+	w.path = w.path[:0]
+	eachPool.Put(w)
+	c.release(ar)
+	return done
+}
+
+// eachWalker is the second-traversal state of each: the shared Dewey path
+// buffer grows and shrinks in place as the walk descends.
+type eachWalker struct {
+	c     *CompiledPHR
+	fn    func(p hedge.Path, n *hedge.Node) bool
+	path  hedge.Path
+	marks int64 // located nodes yielded by this walk
+}
+
+var eachPool = sync.Pool{New: func() any { return &eachWalker{path: make(hedge.Path, 0, 32)} }}
+
+func (w *eachWalker) walk(h hedge.Hedge, recs []annot, parent *mirrorState) bool {
+	c := w.c
+	for i, n := range h {
+		if n.Kind != hedge.Elem {
+			continue
+		}
+		a := &recs[i]
+		st := c.mirror.step(parent, c.candidates(a.sym, a.leftBits, a.rightBits))
+		w.path = append(w.path, i)
+		if st.accept && a.marked {
+			w.marks++
+			if !w.fn(w.path, n) {
+				return false
+			}
+		}
+		if !w.walk(n.Children, a.children, st) {
+			return false
+		}
+		w.path = w.path[:len(w.path)-1]
+	}
+	return true
 }
 
 // flushLazy folds the since-last-flush lazy-determinization deltas of every
@@ -301,14 +503,17 @@ func (c *CompiledPHR) Locate(h hedge.Hedge) *Result {
 // compilation.
 func (c *CompiledPHR) flushLazy(m *metrics.Eval) {
 	for _, comp := range c.comps {
-		if comp.lazy == nil {
-			continue
+		if comp.lazy != nil {
+			flushLazyDelta(m, comp.lazy)
 		}
-		d := comp.lazy.FlushDelta()
-		m.LazyStates.Add(d.StatesBuilt)
-		m.LazyHits.Add(d.Hits)
-		m.LazyEvictions.Add(d.Evictions)
 	}
+}
+
+func flushLazyDelta(m *metrics.Eval, lz *ha.LazyDet) {
+	d := lz.FlushDelta()
+	m.LazyStates.Add(d.StatesBuilt)
+	m.LazyHits.Add(d.Hits)
+	m.LazyEvictions.Add(d.Evictions)
 }
 
 // LazyStats sums the lazy-determinization counters across the side
@@ -324,34 +529,37 @@ func (c *CompiledPHR) LazyStats() ha.LazyStats {
 }
 
 // annotArena bump-allocates every annot record (and component-state array)
-// of one Locate call from two recycled slabs sized to the document. It
-// doubles as the per-call tally of the first traversal's work (size, elems,
+// of one evaluation from two recycled slabs sized to the document. It
+// doubles as the per-call tally of the first traversal's work (elems,
 // steps): accumulating into the arena is single-goroutine plain arithmetic,
 // flushed to the attached metrics sink — if any — once per call.
 type annotArena struct {
 	recsBuf   []annot
-	statesBuf []int
+	statesBuf []int32
+	idsBuf    []int32 // label ids resolved by annotate itself
 	recs      []annot
-	states    []int
+	states    []int32
 
-	size  int   // nodes in the document being annotated
-	elems int64 // element nodes (= mirror-automaton steps of the second pass)
-	steps int64 // component membership-DFA transitions taken
+	ids   []int32 // the document's label ids, one per node in pre-order
+	next  int     // pre-order index of the next node to annotate
+	elems int64   // element nodes (= mirror-automaton steps of the second pass)
+	steps int64   // component and e₁ DFA transitions taken
 }
 
-func (ar *annotArena) reset(size, comps int) {
+func (ar *annotArena) reset(ids []int32, comps int) {
+	size := len(ids)
 	if cap(ar.recsBuf) < size {
 		ar.recsBuf = make([]annot, size)
 	}
 	if cap(ar.statesBuf) < size*comps {
-		ar.statesBuf = make([]int, size*comps)
+		ar.statesBuf = make([]int32, size*comps)
 	}
 	ar.recs = ar.recsBuf[:size]
 	ar.states = ar.statesBuf[:size*comps]
-	ar.size, ar.elems, ar.steps = size, 0, 0
+	ar.ids, ar.next, ar.elems, ar.steps = ids, 0, 0, 0
 }
 
-func (ar *annotArena) take(n, comps int) ([]annot, []int) {
+func (ar *annotArena) take(n, comps int) ([]annot, []int32) {
 	recs := ar.recs[:n]
 	ar.recs = ar.recs[n:]
 	states := ar.states[:n*comps]
@@ -359,43 +567,74 @@ func (ar *annotArena) take(n, comps int) ([]annot, []int) {
 	return recs, states
 }
 
-// annotate is the first traversal: component states bottom-up, then the
-// per-sibling-list membership bits (forward final DFAs for elder siblings,
-// reversed final DFAs for younger siblings). The returned arena must be
-// handed back to c.arenas once the records are no longer referenced.
-func (c *CompiledPHR) annotate(h hedge.Hedge) ([]annot, *annotArena) {
+// annotate is the first traversal: label ids, component states and (with
+// sub) the e₁ marking bit bottom-up, then the per-sibling-list membership
+// bits (forward final DFAs for elder siblings, reversed final DFAs for
+// younger siblings). ids are h's label ids in c.Names; nil resolves them
+// into the arena. Hand the arena to c.release once the records are no
+// longer referenced.
+func (c *CompiledPHR) annotate(h hedge.Hedge, ids []int32, sub *subChecker) ([]annot, *annotArena) {
 	ar, _ := c.arenas.Get().(*annotArena)
 	if ar == nil {
 		ar = &annotArena{}
 	}
-	ar.reset(h.Size(), len(c.comps))
-	return c.annotateIn(h, ar), ar
+	if ids == nil {
+		ar.idsBuf = ResolveLabels(h, c.Names, ar.idsBuf[:0])
+		ids = ar.idsBuf
+	}
+	ar.reset(ids, len(c.comps))
+	return c.annotateIn(h, sub, ar), ar
 }
 
-func (c *CompiledPHR) annotateIn(h hedge.Hedge, ar *annotArena) []annot {
-	recs, states := ar.take(len(h), len(c.comps))
+// release returns an arena to the pool without retaining the caller's ids.
+func (c *CompiledPHR) release(ar *annotArena) {
+	ar.ids = nil
+	c.arenas.Put(ar)
+}
+
+func (c *CompiledPHR) annotateIn(h hedge.Hedge, sub *subChecker, ar *annotArena) []annot {
+	nc := len(c.comps)
+	recs, states := ar.take(len(h), nc)
 	for i, n := range h {
 		a := &recs[i]
 		// Slabs are recycled: every field is (re)assigned here, and the
 		// membership bits accumulate with |=, so clear them explicitly.
+		a.sym = ar.ids[ar.next]
+		ar.next++
 		a.children = nil
 		a.leftBits, a.rightBits = 0, 0
+		a.marked = sub == nil
 		if n.Kind == hedge.Elem {
 			ar.elems++
 			if len(n.Children) > 0 {
-				a.children = c.annotateIn(n.Children, ar)
+				a.children = c.annotateIn(n.Children, sub, ar)
 			}
 		}
-		a.compStates = states[i*len(c.comps) : (i+1)*len(c.comps)]
+		a.compStates = states[i*nc : (i+1)*nc]
 		for ci, comp := range c.comps {
-			a.compStates[ci] = c.stateOf(ci, comp, n, a.children)
+			switch {
+			case comp.lazy != nil:
+				a.compStates[ci] = stateOfLazy(ci, comp, n.Kind, a.sym, a.children)
+			case n.Kind != hedge.Elem:
+				a.compStates[ci] = comp.tab.leaf(n.Kind, a.sym)
+			default:
+				hz := comp.tab.horizOf(a.sym)
+				st := hz.Start
+				for j := range a.children {
+					st = hz.Step(st, a.children[j].compStates[ci])
+				}
+				a.compStates[ci] = comp.tab.elem(hz, st)
+			}
 		}
-		// stateOf steps each component's horizontal DFA once per child.
-		ar.steps += int64(len(a.children)) * int64(len(c.comps))
+		// Each component's horizontal DFA steps once per child.
+		ar.steps += int64(len(a.children)) * int64(nc)
+		if sub != nil {
+			sub.mark(a, n.Kind, ar)
+		}
 	}
 	// The membership passes below step each component's final DFAs once per
 	// node in both directions.
-	ar.steps += 2 * int64(len(recs)) * int64(len(c.comps))
+	ar.steps += 2 * int64(len(recs)) * int64(nc)
 	for ci, comp := range c.comps {
 		bit := uint64(1) << uint(ci)
 		if lz := comp.lazy; lz != nil {
@@ -404,145 +643,70 @@ func (c *CompiledPHR) annotateIn(h hedge.Hedge, ar *annotArena) []annot {
 				if lz.FwdAccepting(st) {
 					recs[i].leftBits |= bit
 				}
-				st = lz.FwdStep(st, recs[i].compStates[ci])
+				st = lz.FwdStep(st, int(recs[i].compStates[ci]))
 			}
 			rt := lz.BwdStart()
 			for i := len(recs) - 1; i >= 0; i-- {
 				if lz.BwdAccepting(rt) {
 					recs[i].rightBits |= bit
 				}
-				rt = lz.BwdStep(rt, recs[i].compStates[ci])
+				rt = lz.BwdStep(rt, int(recs[i].compStates[ci]))
 			}
 			continue
 		}
-		st := comp.fwd.Start
+		fwd, bwd := &comp.fwdT, &comp.bwdT
+		st := fwd.Start
 		for i := range recs {
-			if comp.fwd.Accepting(st) {
+			if fwd.Accepting(st) {
 				recs[i].leftBits |= bit
 			}
-			st = comp.fwd.Step(st, recs[i].compStates[ci])
+			st = fwd.Step(st, recs[i].compStates[ci])
 		}
-		rt := comp.bwd.Start
+		rt := bwd.Start
 		for i := len(recs) - 1; i >= 0; i-- {
-			if comp.bwd.Accepting(rt) {
+			if bwd.Accepting(rt) {
 				recs[i].rightBits |= bit
 			}
-			rt = comp.bwd.Step(rt, recs[i].compStates[ci])
+			rt = bwd.Step(rt, recs[i].compStates[ci])
 		}
 	}
 	return recs
 }
 
-// stateOf computes the component state of a node from its children's
-// records (already computed bottom-up).
-func (c *CompiledPHR) stateOf(ci int, comp *component, n *hedge.Node, children []annot) int {
-	if comp.lazy != nil {
-		return c.stateOfLazy(ci, comp, n, children)
-	}
-	switch n.Kind {
-	case hedge.Var:
-		if v := c.Names.Vars.Lookup(n.Name); v != alphabet.None && v < len(comp.dha.Iota) {
-			return comp.dha.Iota[v]
-		}
-		return c.sinkOf(comp)
-	case hedge.Elem:
-		sym := c.Names.Syms.Lookup(n.Name)
-		if sym == alphabet.None || sym >= len(comp.dha.Horiz) || comp.dha.Horiz[sym] == nil {
-			return c.sinkOf(comp)
-		}
-		hz := comp.dha.Horiz[sym]
-		st := hz.DFA.Start
-		for _, ch := range children {
-			st = hz.DFA.Step(st, ch.compStates[ci])
-			if st == sfa.Dead {
-				return c.sinkOf(comp)
-			}
-		}
-		if st == sfa.Dead || st >= len(hz.Out) {
-			return c.sinkOf(comp)
-		}
-		if q := hz.Out[st]; q != alphabet.None {
-			return q
-		}
-		return c.sinkOf(comp)
-	default:
-		return c.sinkOf(comp)
-	}
-}
-
-// stateOfLazy is stateOf over a lazily determinized component: the same
-// run, materializing horizontal states on demand. The lazy machines are
-// total (HorizStep never goes dead), so only the symbol lookup can fall to
-// the sink early.
-func (c *CompiledPHR) stateOfLazy(ci int, comp *component, n *hedge.Node, children []annot) int {
+// stateOfLazy computes a node's state in a lazily determinized component
+// from its children's records (already computed bottom-up), materializing
+// horizontal states on demand. The lazy machines are total (HorizStep never
+// goes dead), so only the label can fall to the sink early.
+func stateOfLazy(ci int, comp *component, kind hedge.NodeKind, sym int32, children []annot) int32 {
 	lz := comp.lazy
-	switch n.Kind {
+	switch kind {
 	case hedge.Var:
-		if v := c.Names.Vars.Lookup(n.Name); v != alphabet.None {
-			return lz.IotaState(v)
+		if sym >= 0 {
+			return int32(lz.IotaState(int(sym)))
 		}
-		return comp.sink
 	case hedge.Elem:
-		sym := c.Names.Syms.Lookup(n.Name)
-		if sym == alphabet.None {
-			return comp.sink
-		}
-		st := lz.HorizStart(sym)
+		st := lz.HorizStart(int(sym))
 		if st < 0 {
-			return comp.sink
+			break
 		}
-		for _, ch := range children {
-			st = lz.HorizStep(sym, st, ch.compStates[ci])
+		for j := range children {
+			st = lz.HorizStep(int(sym), st, int(children[j].compStates[ci]))
 		}
-		return lz.HorizOut(sym, st)
-	default:
-		return comp.sink
+		return int32(lz.HorizOut(int(sym), st))
 	}
-}
-
-// sinkOf returns the component's sink state: the empty subset of its
-// determinization, which is what the complete automaton assigns to any node
-// outside the interned alphabet.
-func (c *CompiledPHR) sinkOf(comp *component) int { return comp.sink }
-
-func (c *CompiledPHR) secondPass(h hedge.Hedge, recs []annot, prefix hedge.Path, parentState int, res *Result) {
-	for i, n := range h {
-		p := append(prefix, i)
-		if n.Kind != hedge.Elem {
-			continue
-		}
-		ni := &recs[i]
-		cands := c.candidates(n.Name, ni.leftBits, ni.rightBits)
-		st := c.mirror.step(parentState, cands)
-		if c.mirror.accepting(st) {
-			res.Located[n] = true
-			res.Paths = append(res.Paths, p.Clone())
-		}
-		c.secondPass(n.Children, ni.children, p, st, res)
-	}
+	return int32(lz.Sink())
 }
 
 // candidates returns the bit set of base representations matched by the
 // pointed base hedge at a node: label equal and both side memberships hold
 // (Definition 17 via the ξ mapping of Theorem 4).
-func (c *CompiledPHR) candidates(label string, leftBits, rightBits uint64) uint64 {
-	return c.candidatesSym(c.Names.Syms.Lookup(label), leftBits, rightBits)
-}
-
-// candidatesSym is candidates over an interned label symbol.
-func (c *CompiledPHR) candidatesSym(sym int, leftBits, rightBits uint64) uint64 {
+func (c *CompiledPHR) candidates(sym int32, leftBits, rightBits uint64) uint64 {
 	var out uint64
-	for i := range c.PHR.Bases {
-		if c.labels[i] != sym {
-			continue
+	for i := range c.bases {
+		b := &c.bases[i]
+		if b.sym == sym && leftBits&b.left == b.left && rightBits&b.right == b.right {
+			out |= 1 << uint(i)
 		}
-		if li := c.leftComp[i]; li >= 0 && leftBits&(1<<uint(li)) == 0 {
-			continue
-		}
-		if ri := c.rightComp[i]; ri >= 0 && rightBits&(1<<uint(ri)) == 0 {
-			continue
-		}
-		out |= 1 << uint(i)
 	}
 	return out
 }
@@ -570,23 +734,39 @@ func (c *CompiledPHR) MatchesPointed(u hedge.Hedge) (bool, error) {
 // mirrorDFA lazily determinizes the reversed PHR automaton over concrete
 // candidate-set symbols. Theorem 4's N is this automaton completed over the
 // finite alphabet (Q*/≡)×Σ×(Q*/≡); laziness keeps Algorithm 1 linear with
-// a small constant in practice. The memo tables grow under a mutex so
-// BulkSelect can share one compiled query across goroutines.
+// a small constant in practice. Reads take no lock, so one compiled query
+// can serve concurrent evaluations (BulkSelect, the parallel stream): a
+// state's accept bit is fixed when the state is created, and its out-edges
+// are an immutable sorted list behind an atomic pointer, replaced whole
+// when a miss adds an edge. mu serializes the misses only, and the finite
+// candidate alphabet stops them once the automaton is warm. A miss copies
+// the state's edge list, so it costs the state's out-degree: the number of
+// distinct candidate sets seen there so far.
 type mirrorDFA struct {
-	mu     sync.Mutex
-	rev    *sfa.NFA
-	sets   [][]int        // DFA state → NFA state set
-	ids    map[string]int // set key → DFA state
-	accept []bool
-	trans  []map[uint64]int // DFA state → candidate bits → DFA state
-	// startID memoizes the interned start ε-closure: start() sits on the
-	// per-record streaming hot path, and recomputing the closure (plus its
-	// set key) would cost two allocations per evaluation.
-	startID int
+	rev   *sfa.NFA
+	start *mirrorState
+
+	mu  sync.Mutex
+	ids map[string]*mirrorState // NFA state-set key → state; guarded by mu
+}
+
+// mirrorState is one state of the determinized mirror automaton.
+type mirrorState struct {
+	id     int // creation order; stable for the life of the compilation
+	accept bool
+	set    []int // NFA state set; read under mirrorDFA.mu only
+	edges  atomic.Pointer[[]mirrorEdge]
+}
+
+// mirrorEdge is one out-edge: the successor on a candidate-bit symbol.
+type mirrorEdge struct {
+	cands uint64
+	to    *mirrorState
 }
 
 func newMirrorDFA(rev *sfa.NFA) *mirrorDFA {
-	m := &mirrorDFA{rev: rev, ids: map[string]int{}, startID: -1}
+	m := &mirrorDFA{rev: rev, ids: map[string]*mirrorState{}}
+	m.start = m.intern(rev.EpsClosure(rev.Start))
 	return m
 }
 
@@ -598,66 +778,82 @@ func setKey(set []int) string {
 	return string(b)
 }
 
-func (m *mirrorDFA) intern(set []int) int {
+// intern returns the state of an NFA state set, creating it if new. The
+// caller holds mu, or is the constructor.
+func (m *mirrorDFA) intern(set []int) *mirrorState {
 	k := setKey(set)
-	if id, ok := m.ids[k]; ok {
-		return id
+	if st, ok := m.ids[k]; ok {
+		return st
 	}
-	id := len(m.sets)
-	m.ids[k] = id
-	m.sets = append(m.sets, set)
-	acc := false
+	st := &mirrorState{id: len(m.ids), set: set}
 	for _, s := range set {
 		if m.rev.Accept[s] {
-			acc = true
+			st.accept = true
 			break
 		}
 	}
-	m.accept = append(m.accept, acc)
-	m.trans = append(m.trans, map[uint64]int{})
-	return id
+	m.ids[k] = st
+	return st
 }
 
-func (m *mirrorDFA) start() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.startID < 0 {
-		m.startID = m.intern(m.rev.EpsClosure(m.rev.Start))
+// findEdge returns the index of cands in the sorted edge list, or where it
+// would be inserted, and whether it is present.
+func findEdge(es []mirrorEdge, cands uint64) (int, bool) {
+	lo, hi := 0, len(es)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if es[mid].cands < cands {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return m.startID
-}
-
-func (m *mirrorDFA) accepting(state int) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.accept[state]
+	return lo, lo < len(es) && es[lo].cands == cands
 }
 
 // step advances on the candidate-bit symbol: the union of moves on every
 // base index present in cands.
-func (m *mirrorDFA) step(state int, cands uint64) int {
+func (m *mirrorDFA) step(s *mirrorState, cands uint64) *mirrorState {
+	if p := s.edges.Load(); p != nil {
+		if i, ok := findEdge(*p, cands); ok {
+			return (*p)[i].to
+		}
+	}
+	return m.miss(s, cands)
+}
+
+// miss determinizes one new edge and publishes s's extended edge list.
+func (m *mirrorDFA) miss(s *mirrorState, cands uint64) *mirrorState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if to, ok := m.trans[state][cands]; ok {
-		return to
+	var old []mirrorEdge
+	if p := s.edges.Load(); p != nil {
+		old = *p
+	}
+	i, ok := findEdge(old, cands)
+	if ok {
+		return old[i].to // published by a concurrent miss
 	}
 	next := map[int]bool{}
-	for _, s := range m.sets[state] {
-		for i := 0; cands>>uint(i) != 0; i++ {
-			if cands&(1<<uint(i)) == 0 {
+	for _, q := range s.set {
+		for b := 0; cands>>uint(b) != 0; b++ {
+			if cands&(1<<uint(b)) == 0 {
 				continue
 			}
-			for _, t := range m.rev.Trans[s][i] {
+			for _, t := range m.rev.Trans[q][b] {
 				next[t] = true
 			}
 		}
 	}
 	lst := make([]int, 0, len(next))
-	for s := range next {
-		lst = append(lst, s)
+	for q := range next {
+		lst = append(lst, q)
 	}
-	closed := m.rev.EpsClosure(lst)
-	to := m.intern(closed)
-	m.trans[state][cands] = to
+	to := m.intern(m.rev.EpsClosure(lst))
+	es := make([]mirrorEdge, len(old)+1)
+	copy(es, old[:i])
+	es[i] = mirrorEdge{cands: cands, to: to}
+	copy(es[i+1:], old[i:])
+	s.edges.Store(&es)
 	return to
 }

@@ -63,15 +63,10 @@ type Witness struct {
 // Witness and its slices are freshly allocated per call to fn (safe to
 // retain); the node pointer aliases the document.
 func (cq *CompiledQuery) ExplainEach(h hedge.Hedge, fn func(w Witness, n *hedge.Node) bool) bool {
-	phrRecs, ar := cq.phr.annotate(h)
-	defer cq.phr.arenas.Put(ar)
-	var subRecs []subAnnot
-	if cq.sub != nil {
-		var sar *subArena
-		subRecs, sar = cq.sub.annotate(h)
-		defer cq.sub.arenas.Put(sar)
-	}
-	fwd := cq.phr.forwardNFA()
+	phr := cq.phr
+	recs, ar := phr.annotate(h, nil, cq.sub)
+	defer phr.release(ar)
+	fwd := phr.forwardNFA()
 	// chain carries (label, state, candidate set) from the top level down
 	// to the current node; sets and words are reconstructed bottom-up per
 	// Definition 19 exactly as in LocateBindings.
@@ -82,18 +77,18 @@ func (cq *CompiledQuery) ExplainEach(h hedge.Hedge, fn func(w Witness, n *hedge.
 	}
 	var chain []level
 	var path hedge.Path
-	var walk func(h hedge.Hedge, recs []annot, subs []subAnnot, parentState int) bool
-	walk = func(h hedge.Hedge, recs []annot, subs []subAnnot, parentState int) bool {
+	var walk func(h hedge.Hedge, recs []annot, parent *mirrorState) bool
+	walk = func(h hedge.Hedge, recs []annot, parent *mirrorState) bool {
 		for i, n := range h {
 			if n.Kind != hedge.Elem {
 				continue
 			}
 			ni := &recs[i]
-			cands := cq.phr.candidates(n.Name, ni.leftBits, ni.rightBits)
-			st := cq.phr.mirror.step(parentState, cands)
+			cands := phr.candidates(ni.sym, ni.leftBits, ni.rightBits)
+			st := phr.mirror.step(parent, cands)
 			path = append(path, i)
-			chain = append(chain, level{n.Name, st, cands})
-			if cq.phr.mirror.accepting(st) && (subs == nil || subs[i].marked) {
+			chain = append(chain, level{n.Name, st.id, cands})
+			if st.accept && ni.marked {
 				sets := make([][]int, len(chain))
 				for j := range chain {
 					sets[j] = bitsToList(chain[len(chain)-1-j].cands)
@@ -113,11 +108,7 @@ func (cq *CompiledQuery) ExplainEach(h hedge.Hedge, fn func(w Witness, n *hedge.
 					return false
 				}
 			}
-			var childSubs []subAnnot
-			if subs != nil {
-				childSubs = subs[i].children
-			}
-			if !walk(n.Children, ni.children, childSubs, st) {
+			if !walk(n.Children, ni.children, st) {
 				return false
 			}
 			path = path[:len(path)-1]
@@ -125,7 +116,7 @@ func (cq *CompiledQuery) ExplainEach(h hedge.Hedge, fn func(w Witness, n *hedge.
 		}
 		return true
 	}
-	return walk(h, phrRecs, subRecs, cq.phr.mirror.start())
+	return walk(h, recs, phr.mirror.start)
 }
 
 // NumBases returns the number of base representations in the query's

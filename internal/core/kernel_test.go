@@ -1,0 +1,121 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+
+	"xpe/internal/gen"
+	"xpe/internal/ha"
+	"xpe/internal/hedge"
+)
+
+// TestComponentLimit: component i owns bit i of the uint64 sibling
+// membership sets, so a PHR with more than 64 distinct side expressions
+// must be rejected at compile time rather than silently drop the bits of
+// components 64 and up. 33 bases [aK ; x ; bK] need 66 components; 32
+// need exactly 64 and must agree with the naive oracle on the last base.
+func TestComponentLimit(t *testing.T) {
+	for _, n := range []int{32, 33} {
+		var bases []string
+		for k := 1; k <= n; k++ {
+			bases = append(bases, fmt.Sprintf("[a%d ; x ; b%d]", k, k))
+		}
+		q, err := ParseQuery(strings.Join(bases, " | "))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := hedge.MustParse(fmt.Sprintf("a%d x b%d", n, n))
+		names := ha.NewNames()
+		internHedge(names, h)
+		cq, err := CompileQuery(q, names)
+		if n > 32 {
+			if err == nil || !strings.Contains(err.Error(), "at most 64 distinct side expressions") {
+				t.Fatalf("%d bases (%d sides): compile error = %v, want the 64-component limit", n, 2*n, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%d bases: %v", n, err)
+		}
+		naive, err := SelectNaive(q, names, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := cq.Select(h).Located
+		if !naive[h[1]] || !got[h[1]] || len(got) != len(naive) {
+			t.Errorf("%d bases: Algorithm 1 located %d nodes (x: %v), naive %d (x: %v)", n, len(got), got[h[1]], len(naive), naive[h[1]])
+		}
+	}
+}
+
+// kernelQueries are eager queries over the gen.Document vocabulary with
+// and without an e₁ condition.
+var kernelQueries = []string{
+	"figure section* [* ; doc ; *]",
+	"[* ; figure ; table .] (section|doc)*",
+	"select(figure*; [* ; section ; *] (section|doc)*)",
+}
+
+// TestEvalZeroAlloc pins steady-state evaluation at exactly zero
+// allocations: once a warm-up run has filled the arenas, walkers and
+// mirror edges, SelectEach and SelectEachResolved allocate nothing.
+func TestEvalZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector drops sync.Pool items at random, perturbing AllocsPerRun")
+	}
+	doc := gen.Document(gen.DefaultDocConfig(), 3000)
+	fn := func(hedge.Path, *hedge.Node) bool { return true }
+	for _, src := range kernelQueries {
+		cq := compileDocQuery(t, src)
+		ids := ResolveLabels(doc, cq.Names, nil)
+		for name, run := range map[string]func(){
+			"SelectEach":         func() { cq.SelectEach(doc, fn) },
+			"SelectEachResolved": func() { cq.SelectEachResolved(doc, ids, fn) },
+		} {
+			run()
+			if a := testing.AllocsPerRun(20, run); a != 0 {
+				t.Errorf("%s %q: %.1f allocs/run, want 0", name, src, a)
+			}
+		}
+	}
+}
+
+// TestConcurrentColdMirror: goroutines evaluating one freshly compiled
+// query race to fill its mirror automaton, whose reads take no lock; every
+// evaluation must still agree with a sequential reference. Meant for
+// -race -count=10.
+func TestConcurrentColdMirror(t *testing.T) {
+	var docs []hedge.Hedge
+	for seed := int64(1); seed <= 4; seed++ {
+		cfg := gen.DefaultDocConfig()
+		cfg.Seed = seed
+		docs = append(docs, gen.Document(cfg, 400))
+	}
+	for _, src := range kernelQueries {
+		ref := compileDocQuery(t, src)
+		want := make([]string, len(docs))
+		for i, d := range docs {
+			want[i] = fmt.Sprint(ref.Select(d).Paths)
+		}
+		cq := compileDocQuery(t, src) // cold: no mirror edge yet
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				for k := range docs {
+					i := (k + g) % len(docs)
+					if got := fmt.Sprint(cq.Select(docs[i]).Paths); got != want[i] {
+						t.Errorf("%q goroutine %d doc %d: located %s, want %s", src, g, i, got, want[i])
+					}
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+	}
+}

@@ -43,7 +43,11 @@ type MatchAutomaton struct {
 	markE1  []bool                  // marked states of M↓e₁
 }
 
-type elemKey struct{ pq, s, sym int }
+type elemKey struct {
+	pq  int
+	s   *mirrorState
+	sym int
+}
 
 // BuildMatchAutomaton constructs the match-identifying automaton for query
 // cq against the given input schema (a DHA over the same Names).
@@ -100,14 +104,14 @@ func BuildMatchAutomaton(schema *ha.DHA, cq *CompiledQuery) (*MatchAutomaton, er
 		for _, s := range nStates {
 			k := elemKey{la.pq, s, la.sym}
 			id := nha.AddState()
-			m.States.Intern([]int{1, k.pq, k.s, k.sym})
+			m.States.Intern([]int{1, k.pq, k.s.id, k.sym})
 			elemState[k] = id
 			elemKeys = append(elemKeys, k)
 		}
 	}
 	m.Marked = make([]bool, nha.NumStates)
 	for k, id := range elemState {
-		m.Marked[id] = phr.mirror.accepting(k.s) && m.e1Bit(k.pq)
+		m.Marked[id] = k.s.accept && m.e1Bit(k.pq)
 	}
 
 	// Rule languages, cached per (symbol, parent N-state): the transition
@@ -118,7 +122,10 @@ func BuildMatchAutomaton(schema *ha.DHA, cq *CompiledQuery) (*MatchAutomaton, er
 		leafState: leafState, elemState: elemState,
 		numRStates: nha.NumStates,
 	}
-	type cacheKey struct{ sym, s int }
+	type cacheKey struct {
+		sym int
+		s   *mirrorState
+	}
 	cache := map[cacheKey]*horizNFA{}
 	for _, k := range elemKeys {
 		ck := cacheKey{k.sym, k.s}
@@ -133,7 +140,7 @@ func BuildMatchAutomaton(schema *ha.DHA, cq *CompiledQuery) (*MatchAutomaton, er
 
 	// Final set: the same construction over the schema-product final DFA
 	// with the parent N-state s₀.
-	fin := builder.build(p.Final, phr.mirror.start())
+	fin := builder.build(p.Final, phr.mirror.start)
 	nha.Final = fin.langFor(func(f int) bool { return p.Final.Accepting(f) })
 	m.NHA = nha
 	_ = inhabited
@@ -231,39 +238,32 @@ func reachableOver(dfa *sfa.DFA, allowed []bool) []bool {
 
 // closeMirror enumerates every mirror-automaton state reachable under any
 // candidate set (over all labels and membership-bit combinations) and
-// returns the sorted state list. This materializes Theorem 4's string
+// returns the states ordered by id. This materializes Theorem 4's string
 // automaton N over its full finite alphabet.
-func closeMirror(phr *CompiledPHR) []int {
+func closeMirror(phr *CompiledPHR) []*mirrorState {
 	c := len(phr.comps)
 	// Distinct candidate sets.
 	candSet := map[uint64]bool{0: true}
-	for _, sym := range phr.labels {
+	for _, b := range phr.bases {
 		for lb := uint64(0); lb < 1<<uint(c); lb++ {
 			for rb := uint64(0); rb < 1<<uint(c); rb++ {
-				candSet[phr.candidatesSym(sym, lb, rb)] = true
+				candSet[phr.candidates(b.sym, lb, rb)] = true
 			}
 		}
 	}
-	seen := map[int]bool{}
-	start := phr.mirror.start()
-	seen[start] = true
-	queue := []int{start}
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
+	start := phr.mirror.start
+	seen := map[*mirrorState]bool{start: true}
+	out := []*mirrorState{start}
+	for qi := 0; qi < len(out); qi++ {
 		for cands := range candSet {
-			t := phr.mirror.step(s, cands)
+			t := phr.mirror.step(out[qi], cands)
 			if !seen[t] {
 				seen[t] = true
-				queue = append(queue, t)
+				out = append(out, t)
 			}
 		}
 	}
-	out := make([]int, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Ints(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
 }
 
@@ -303,7 +303,7 @@ func (hn *horizNFA) langFor(acceptH func(h int) bool) *sfa.NFA {
 
 // build explores the product of the sequence DFA, forward finals, and
 // guessed backward finals over all match-automaton states.
-func (b *horizBuilder) build(seqDFA *sfa.DFA, parentS int) *horizNFA {
+func (b *horizBuilder) build(seqDFA *sfa.DFA, parentS *mirrorState) *horizNFA {
 	c := len(b.phr.comps)
 	// Backward-step preimages: invBwd[i][to][sym] = sources r with
 	// bwd.Step(r, sym) == to.
@@ -379,7 +379,7 @@ func (b *horizBuilder) build(seqDFA *sfa.DFA, parentS int) *horizNFA {
 				leftBits |= 1 << uint(i)
 			}
 		}
-		b.eachChildSymbol(func(rState, pq, childS, childSym int) {
+		b.eachChildSymbol(func(rState, pq int, childS *mirrorState, childSym int) {
 			// Project component states from the product tuple.
 			ptup := b.m.tuples.Tuple(pq)
 			h2 := seqDFA.Step(h, pq)
@@ -396,7 +396,7 @@ func (b *horizBuilder) build(seqDFA *sfa.DFA, parentS int) *horizNFA {
 							rightBits |= 1 << uint(i)
 						}
 					}
-					cands := b.phr.candidatesSym(childSym, leftBits, rightBits)
+					cands := b.phr.candidates(int32(childSym), leftBits, rightBits)
 					if b.phr.mirror.step(parentS, cands) != childS {
 						return
 					}
@@ -417,9 +417,9 @@ func (b *horizBuilder) build(seqDFA *sfa.DFA, parentS int) *horizNFA {
 
 // eachChildSymbol enumerates every match-automaton state usable as a child:
 // leaf states (childSym = None) and element states.
-func (b *horizBuilder) eachChildSymbol(fn func(rState, pq, childS, childSym int)) {
+func (b *horizBuilder) eachChildSymbol(fn func(rState, pq int, childS *mirrorState, childSym int)) {
 	for pq, id := range b.leafState {
-		fn(id, pq, -1, alphabet.None)
+		fn(id, pq, nil, alphabet.None)
 	}
 	for k, id := range b.elemState {
 		fn(id, k.pq, k.s, k.sym)

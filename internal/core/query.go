@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"xpe/internal/alphabet"
 	"xpe/internal/ha"
 	"xpe/internal/hedge"
 	"xpe/internal/hre"
@@ -129,10 +128,6 @@ type CompiledQuery struct {
 	// subExpr is the source e₁ expression (nil = any), retained for
 	// required-label extraction (RequiredLabels).
 	subExpr *hre.Expr
-
-	// metrics, when non-nil, receives one flush of evaluation counters per
-	// Select/SelectEach call (see CompiledPHR.metrics for the cost model).
-	metrics *metrics.Eval
 }
 
 // SetMetrics attaches (or, with nil, detaches) an evaluation sink: every
@@ -140,43 +135,84 @@ type CompiledQuery struct {
 // there. The sink must be attached before evaluation begins; concurrent
 // evaluators (BulkSelect workers, streaming records) may share it — all
 // cells are atomic.
-func (cq *CompiledQuery) SetMetrics(m *metrics.Eval) {
-	cq.metrics = m
-	cq.phr.SetMetrics(m)
-}
+func (cq *CompiledQuery) SetMetrics(m *metrics.Eval) { cq.phr.SetMetrics(m) }
 
-// subChecker decides "subhedge of n ∈ L(e₁)" per node in one bottom-up
-// pass: it runs the complete DHA of e₁ and tests the child sequence against
-// the final DFA — exactly the marking bit of Theorem 3's M↓e.
+// subChecker decides "subhedge of n ∈ L(e₁)" per node during the first
+// traversal: it runs the complete DHA of e₁ and tests the child sequence
+// against the final DFA — exactly the marking bit of Theorem 3's M↓e.
 type subChecker struct {
-	dha  *ha.DHA
-	sink int
-	fin  *sfa.DFA
-	// arenas recycles marking slabs across calls, mirroring
-	// CompiledPHR.arenas: repeated evaluation (BulkSelect workers, the
-	// streaming record loop) reuses the slabs instead of allocating
-	// per document.
-	arenas sync.Pool
+	dha *ha.DHA // map form, for the schema-level constructions
+	tab dhaTables
+	fin sfa.Table
 
-	// lazy, when non-nil, replaces dha/fin on the marking pass (see
-	// component.lazy); nha is retained for on-demand materialization of the
-	// eager structures, which schema-level constructions need.
+	// lazy, when non-nil, replaces the eager structures on the marking
+	// pass (see component.lazy); nha is retained for on-demand
+	// materialization of the eager DHA, which schema-level constructions
+	// need.
 	lazy  *ha.LazyDet
 	nha   *ha.NHA
 	eager sync.Once
 }
 
-// materialize builds the eager structures of a lazily compiled subChecker
-// (see component.materialize).
+// materialize builds the eager DHA of a lazily compiled subChecker (see
+// component.materialize).
 func (s *subChecker) materialize() {
 	if s.lazy == nil {
 		return
 	}
-	s.eager.Do(func() {
-		det := s.nha.Determinize()
-		s.dha = det.DHA
-		s.fin = det.DHA.Final.Complete()
-	})
+	s.eager.Do(func() { s.dha = s.nha.Determinize().DHA })
+}
+
+// mark computes a's e₁ state and marking bit from its children's (already
+// annotated), tallying the transitions taken into ar.
+func (s *subChecker) mark(a *annot, kind hedge.NodeKind, ar *annotArena) {
+	a.marked = false
+	if kind != hedge.Elem {
+		if lz := s.lazy; lz != nil {
+			a.sub = int32(lz.Sink())
+			if kind == hedge.Var && a.sym >= 0 {
+				a.sub = int32(lz.IotaState(int(a.sym)))
+			}
+			return
+		}
+		a.sub = s.tab.leaf(kind, a.sym)
+		return
+	}
+	// One final-DFA step and one horizontal-DFA step per child.
+	ar.steps += 2 * int64(len(a.children))
+	if lz := s.lazy; lz != nil {
+		fs := lz.FwdStart()
+		for j := range a.children {
+			fs = lz.FwdStep(fs, int(a.children[j].sub))
+		}
+		a.marked = lz.FwdAccepting(fs)
+		a.sub = int32(lz.Sink())
+		sym := int(a.sym)
+		if st := lz.HorizStart(sym); st >= 0 {
+			for j := range a.children {
+				st = lz.HorizStep(sym, st, int(a.children[j].sub))
+			}
+			a.sub = int32(lz.HorizOut(sym, st))
+		}
+		return
+	}
+	fs := s.fin.Start
+	hz := s.tab.horizOf(a.sym)
+	st := hz.Start
+	for j := range a.children {
+		q := a.children[j].sub
+		fs = s.fin.Step(fs, q)
+		st = hz.Step(st, q)
+	}
+	a.marked = s.fin.Accepting(fs)
+	a.sub = s.tab.elem(hz, st)
+}
+
+// flushLazy folds the subChecker's lazy-determinization deltas into m.
+func (s *subChecker) flushLazy(m *metrics.Eval) {
+	if s.lazy != nil {
+		flushLazyDelta(m, s.lazy)
+	}
 }
 
 // PreinternQuery interns every name the compilation of q will intern —
@@ -222,13 +258,13 @@ func CompileQueryOpt(q *Query, names *ha.Names, opts Options) (*CompiledQuery, e
 		}
 		if opts.LazyDeterminize {
 			lz := nha.LazyDeterminize(ha.LazyOptions{TransitionBudget: opts.LazyTransitionBudget})
-			cq.sub = &subChecker{lazy: lz, nha: nha, sink: lz.Sink()}
+			cq.sub = &subChecker{lazy: lz, nha: nha}
 		} else {
 			det := nha.Determinize()
 			cq.sub = &subChecker{
-				dha:  det.DHA,
-				sink: det.Subsets.Lookup(nil),
-				fin:  det.DHA.Final.Complete(),
+				dha: det.DHA,
+				tab: newDHATables(det.DHA, det.Subsets.Lookup(nil)),
+				fin: det.DHA.Final.Complete().Table(),
 			}
 		}
 	}
@@ -255,18 +291,6 @@ func (cq *CompiledQuery) LazyStats() ha.LazyStats {
 	return s
 }
 
-// flushLazy folds the lazy-determinization deltas of every lazily compiled
-// automaton of the query into the metrics sink (see CompiledPHR.flushLazy).
-func (cq *CompiledQuery) flushLazy(m *metrics.Eval) {
-	cq.phr.flushLazy(m)
-	if cq.sub != nil && cq.sub.lazy != nil {
-		d := cq.sub.lazy.FlushDelta()
-		m.LazyStates.Add(d.StatesBuilt)
-		m.LazyHits.Add(d.Hits)
-		m.LazyEvictions.Add(d.Evictions)
-	}
-}
-
 // materializeEager builds the eager determinizations of a lazily compiled
 // query. Schema-level constructions (BuildMatchAutomaton) need the concrete
 // DFAs; per-document evaluation keeps using the lazy path.
@@ -281,24 +305,8 @@ func (cq *CompiledQuery) materializeEager() {
 
 // Select returns the nodes of h located by the query (Definition 22).
 func (cq *CompiledQuery) Select(h hedge.Hedge) *Result {
-	if cq.sub == nil {
-		return cq.phr.Locate(h)
-	}
-	// Combined evaluation: the PHR annotation tree and the e₁ marking tree
-	// walk the document in lockstep with the mirror automaton.
-	phrRecs, ar := cq.phr.annotate(h)
-	subRecs, sar := cq.sub.annotate(h)
 	res := &Result{Located: map[*hedge.Node]bool{}}
-	cq.selectWalk(h, phrRecs, subRecs, nil, cq.phr.mirror.start(), res)
-	if m := cq.metrics; m != nil {
-		m.Docs.Inc()
-		m.Nodes.Add(int64(ar.size))
-		m.Marks.Add(int64(len(res.Paths)))
-		m.Transitions.Add(ar.steps + ar.elems + sar.steps)
-		cq.flushLazy(m)
-	}
-	cq.phr.arenas.Put(ar)
-	cq.sub.arenas.Put(sar)
+	cq.phr.each(h, nil, cq.sub, res.add)
 	return res
 }
 
@@ -309,234 +317,23 @@ func (cq *CompiledQuery) Select(h hedge.Hedge) *Result {
 // comes from recycled arenas, so repeated evaluation — the streaming
 // per-record hot loop — allocates nothing in steady state.
 func (cq *CompiledQuery) SelectEach(h hedge.Hedge, fn func(p hedge.Path, n *hedge.Node) bool) bool {
-	phrRecs, ar := cq.phr.annotate(h)
-	var subRecs []subAnnot
-	var sar *subArena
-	if cq.sub != nil {
-		subRecs, sar = cq.sub.annotate(h)
-	}
-	w := eachPool.Get().(*eachWalker)
-	w.cq, w.fn, w.marks = cq, fn, 0
-	done := w.walk(h, phrRecs, subRecs, cq.phr.mirror.start())
-	if m := cq.metrics; m != nil {
-		m.Docs.Inc()
-		m.Nodes.Add(int64(ar.size))
-		m.Marks.Add(w.marks)
-		steps := ar.steps + ar.elems
-		if sar != nil {
-			steps += sar.steps
-		}
-		m.Transitions.Add(steps)
-		cq.flushLazy(m)
-	}
-	w.cq, w.fn = nil, nil
-	w.path = w.path[:0]
-	eachPool.Put(w)
-	cq.phr.arenas.Put(ar)
-	if sar != nil {
-		cq.sub.arenas.Put(sar)
-	}
-	return done
+	return cq.phr.each(h, nil, cq.sub, fn)
 }
 
-// eachWalker is the second-traversal state of SelectEach: the shared Dewey
-// path buffer grows and shrinks in place as the walk descends.
-type eachWalker struct {
-	cq    *CompiledQuery
-	fn    func(p hedge.Path, n *hedge.Node) bool
-	path  hedge.Path
-	marks int64 // located nodes yielded by this walk
-}
-
-var eachPool = sync.Pool{New: func() any { return &eachWalker{path: make(hedge.Path, 0, 32)} }}
-
-func (w *eachWalker) walk(h hedge.Hedge, phrRecs []annot, subRecs []subAnnot, parentState int) bool {
-	phr := w.cq.phr
-	for i, n := range h {
-		if n.Kind != hedge.Elem {
-			continue
-		}
-		ni := &phrRecs[i]
-		cands := phr.candidates(n.Name, ni.leftBits, ni.rightBits)
-		st := phr.mirror.step(parentState, cands)
-		w.path = append(w.path, i)
-		if phr.mirror.accepting(st) && (subRecs == nil || subRecs[i].marked) {
-			w.marks++
-			if !w.fn(w.path, n) {
-				return false
-			}
-		}
-		var childSub []subAnnot
-		if subRecs != nil {
-			childSub = subRecs[i].children
-		}
-		if !w.walk(n.Children, ni.children, childSub, st) {
-			return false
-		}
-		w.path = w.path[:len(w.path)-1]
-	}
-	return true
-}
-
-func (cq *CompiledQuery) selectWalk(h hedge.Hedge, phrRecs []annot, subRecs []subAnnot, prefix hedge.Path, parentState int, res *Result) {
-	for i, n := range h {
-		p := append(prefix, i)
-		if n.Kind != hedge.Elem {
-			continue
-		}
-		ni := &phrRecs[i]
-		cands := cq.phr.candidates(n.Name, ni.leftBits, ni.rightBits)
-		st := cq.phr.mirror.step(parentState, cands)
-		if cq.phr.mirror.accepting(st) && subRecs[i].marked {
-			res.Located[n] = true
-			res.Paths = append(res.Paths, p.Clone())
-		}
-		cq.selectWalk(n.Children, ni.children, subRecs[i].children, p, st, res)
-	}
-}
-
-// subAnnot is the per-node record of the e₁ marking pass (Theorem 3's bit).
-type subAnnot struct {
-	state    int
-	marked   bool
-	children []subAnnot
-}
-
-// subArena is the recycled slab of one marking pass, doubling as its
-// per-call transition tally (see annotArena).
-type subArena struct {
-	buf   []subAnnot
-	rest  []subAnnot
-	steps int64 // e₁ DFA transitions taken (horizontal + final)
-}
-
-// annotate computes, per node, the e₁ automaton state and whether the
-// node's subhedge is in L(e₁). Records are bump-allocated from one recycled
-// slab; hand the returned arena back to s.arenas once the records are no
-// longer referenced.
-func (s *subChecker) annotate(h hedge.Hedge) ([]subAnnot, *subArena) {
-	ar, _ := s.arenas.Get().(*subArena)
-	if ar == nil {
-		ar = &subArena{}
-	}
-	size := h.Size()
-	if cap(ar.buf) < size {
-		ar.buf = make([]subAnnot, size)
-	}
-	ar.rest = ar.buf[:size]
-	ar.steps = 0
-	return s.annotateIn(h, ar), ar
-}
-
-func (s *subChecker) annotateIn(h hedge.Hedge, ar *subArena) []subAnnot {
-	recs := ar.rest[:len(h)]
-	ar.rest = ar.rest[len(h):]
-	for i, n := range h {
-		a := &recs[i]
-		// Slabs are recycled: clear the fields the switch below may leave
-		// untouched for this node kind.
-		a.marked = false
-		a.children = nil
-		switch n.Kind {
-		case hedge.Var:
-			a.state = s.sink
-			if lz := s.lazy; lz != nil {
-				if v := lz.Names.Vars.Lookup(n.Name); v != alphabet.None {
-					a.state = lz.IotaState(v)
-				}
-			} else if v := s.dha.Names.Vars.Lookup(n.Name); v != alphabet.None && v < len(s.dha.Iota) {
-				if q := s.dha.Iota[v]; q != alphabet.None {
-					a.state = q
-				}
-			}
-		case hedge.Elem:
-			a.children = s.annotateIn(n.Children, ar)
-			if lz := s.lazy; lz != nil {
-				fs := lz.FwdStart()
-				for j := range a.children {
-					fs = lz.FwdStep(fs, a.children[j].state)
-				}
-				a.marked = lz.FwdAccepting(fs)
-			} else {
-				fs := s.fin.Start
-				for j := range a.children {
-					fs = s.fin.Step(fs, a.children[j].state)
-				}
-				a.marked = s.fin.Accepting(fs)
-			}
-			a.state = s.applyAlphaAnnot(n.Name, a.children)
-			// One final-DFA step and one horizontal-DFA step per child.
-			ar.steps += 2 * int64(len(a.children))
-		default:
-			a.state = s.sink
-		}
-	}
-	return recs
-}
-
-func (s *subChecker) applyAlphaAnnot(symName string, children []subAnnot) int {
-	if lz := s.lazy; lz != nil {
-		sym := lz.Names.Syms.Lookup(symName)
-		if sym == alphabet.None {
-			return s.sink
-		}
-		st := lz.HorizStart(sym)
-		if st < 0 {
-			return s.sink
-		}
-		for j := range children {
-			st = lz.HorizStep(sym, st, children[j].state)
-		}
-		return lz.HorizOut(sym, st)
-	}
-	sym := s.dha.Names.Syms.Lookup(symName)
-	if sym == alphabet.None || sym >= len(s.dha.Horiz) || s.dha.Horiz[sym] == nil {
-		return s.sink
-	}
-	hz := s.dha.Horiz[sym]
-	st := hz.DFA.Start
-	for j := range children {
-		st = hz.DFA.Step(st, children[j].state)
-		if st == sfa.Dead {
-			return s.sink
-		}
-	}
-	if q := hz.Out[st]; q != alphabet.None {
-		return q
-	}
-	return s.sink
+// SelectEachResolved is SelectEach over labels already resolved: ids must
+// be ResolveLabels(h, cq.Names, …) (nil resolves them here). Queries
+// compiled against one Names share one resolution, so a caller evaluating
+// many queries per document (the streaming multi-query pass) looks each
+// label up once instead of once per query.
+func (cq *CompiledQuery) SelectEachResolved(h hedge.Hedge, ids []int32, fn func(p hedge.Path, n *hedge.Node) bool) bool {
+	return cq.phr.each(h, ids, cq.sub, fn)
 }
 
 // SelectBindings is Select with variable capture: located nodes are
 // returned together with the ancestors bound by named bases (see
 // CompiledPHR.LocateBindings). The e₁ condition filters matches as usual.
 func (cq *CompiledQuery) SelectBindings(h hedge.Hedge) []BoundMatch {
-	ms := cq.phr.LocateBindings(h)
-	if cq.sub == nil {
-		return ms
-	}
-	subRecs, sar := cq.sub.annotate(h)
-	marked := map[*hedge.Node]bool{}
-	var collect func(h hedge.Hedge, recs []subAnnot)
-	collect = func(h hedge.Hedge, recs []subAnnot) {
-		for i, n := range h {
-			if recs[i].marked {
-				marked[n] = true
-			}
-			if n.Kind == hedge.Elem {
-				collect(n.Children, recs[i].children)
-			}
-		}
-	}
-	collect(h, subRecs)
-	cq.sub.arenas.Put(sar)
-	out := ms[:0]
-	for _, m := range ms {
-		if marked[m.Node] {
-			out = append(out, m)
-		}
-	}
-	return out
+	return cq.phr.bindings(h, cq.sub)
 }
 
 // HasUniqueBindings reports (conservatively) whether the query's envelope

@@ -80,7 +80,6 @@ const numBuckets = 44
 // histogram. The fixed layout keeps Observe allocation-free and the JSON
 // snapshot deterministic.
 type Histogram struct {
-	count   atomic.Int64
 	sum     atomic.Int64
 	buckets [numBuckets]atomic.Int64
 }
@@ -100,7 +99,6 @@ func bucketOf(ns int64) int {
 // Observe records one latency sample.
 func (h *Histogram) Observe(d time.Duration) {
 	ns := int64(d)
-	h.count.Add(1)
 	h.sum.Add(ns)
 	h.buckets[bucketOf(ns)].Add(1)
 }
@@ -111,17 +109,19 @@ func (h *Histogram) add(idx int, n, sumNs int64) {
 		h.sum.Add(sumNs)
 		return
 	}
-	h.count.Add(n)
 	h.sum.Add(sumNs)
 	h.buckets[idx].Add(n)
 }
 
 // Snapshot returns the totals plus the non-empty buckets in ascending
-// bound order.
+// bound order. Count is the sum of the buckets as read, so a snapshot
+// taken while other goroutines observe stays cumulative: the total never
+// reads below the buckets it covers.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Count: h.count.Load(), SumNs: h.sum.Load()}
+	s := HistogramSnapshot{SumNs: h.sum.Load()}
 	for i := range h.buckets {
 		if n := h.buckets[i].Load(); n != 0 {
+			s.Count += n
 			s.Buckets = append(s.Buckets, newBucket(i, n))
 		}
 	}

@@ -413,7 +413,7 @@ func TestStatsGaugeHygiene(t *testing.T) {
 
 // TestMetricsScrapeUnderLoadLeak hammers feed posts and concurrent
 // /metrics scrapes (the whole suite runs under -race via make
-// serve-test), strict-parses a final scrape, and then checks that no
+// race), strict-parses a final scrape, and then checks that no
 // goroutine outlives the server — rollup cells, recorders, and the
 // exposition path must not leak or tear.
 func TestMetricsScrapeUnderLoadLeak(t *testing.T) {

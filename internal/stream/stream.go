@@ -37,6 +37,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -219,6 +220,9 @@ type Result struct {
 	// collected; safeEvaluate sets it before each query's traversal.
 	curQuery int
 	pathBuf  []int
+	// labels holds the record's label ids resolved once per distinct
+	// query alphabet (see labelsFor); the buffers outlive reset.
+	labels []labelSet
 	// collect caches the bound SelectEach match sink. The callback escapes
 	// into a pooled walker on every evaluation, so an uncached closure
 	// would cost one heap allocation per record; the method value here is
@@ -240,13 +244,40 @@ type Result struct {
 	events  []trace.Event
 }
 
+// labelSet is one record's label ids resolved against one query alphabet.
+type labelSet struct {
+	names *ha.Names
+	ids   []int32
+}
+
 // reset prepares a recycled Result for reuse.
 func (r *Result) reset() {
 	r.Matches = r.Matches[:0]
 	r.pathBuf = r.pathBuf[:0]
+	for i := range r.labels {
+		r.labels[i].names = nil
+	}
+	r.labels = r.labels[:0]
 	r.curQuery = 0
 	r.fail = nil
 	r.await = nil
+}
+
+// labelsFor returns h's label ids in names (core.ResolveLabels), resolving
+// them at most once per record per distinct Names. Queries compiled at one
+// alphabet generation share a snapshot, so a fleet resolves once.
+func (r *Result) labelsFor(h hedge.Hedge, names *ha.Names) []int32 {
+	for i := range r.labels {
+		if r.labels[i].names == names {
+			return r.labels[i].ids
+		}
+	}
+	// Reslicing into spare capacity reuses an earlier record's buffer.
+	r.labels = slices.Grow(r.labels, 1)[:len(r.labels)+1]
+	ls := &r.labels[len(r.labels)-1]
+	ls.names = names
+	ls.ids = core.ResolveLabels(h, names, ls.ids[:0])
+	return ls.ids
 }
 
 // addMatch copies the (reused) path into the result's backing buffer and
@@ -437,9 +468,10 @@ func lazyTotals(qs []*core.CompiledQuery) ha.LazyStats {
 // contained and the evaluation timeout enforced — the timeout budget spans
 // the whole record, shared by all queries. A query whose verdict bit in
 // rec.Hint is clear is provably matchless here (the prefilter found a
-// required label absent) and is skipped without touching its automaton. A
-// non-nil return is always a *RecordError; on success res holds the
-// matches, grouped by query index.
+// required label absent) and is skipped without touching its automaton.
+// The record's labels are resolved on the first allowed query, once per
+// distinct query alphabet (Result.labelsFor). A non-nil return is always a
+// *RecordError; on success res holds the matches, grouped by query index.
 func safeEvaluate(qs []*core.CompiledQuery, rec *xmlhedge.Record, res *Result, cfg *Config) (fail *RecordError) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -491,9 +523,9 @@ func safeEvaluate(qs []*core.CompiledQuery, rec *xmlhedge.Record, res *Result, c
 				return true
 			})
 		case timeout <= 0:
-			cq.SelectEach(rec.Hedge, res.sink())
+			cq.SelectEachResolved(rec.Hedge, res.labelsFor(rec.Hedge, cq.Names), res.sink())
 		default:
-			cq.SelectEach(rec.Hedge, func(p hedge.Path, node *hedge.Node) bool {
+			cq.SelectEachResolved(rec.Hedge, res.labelsFor(rec.Hedge, cq.Names), func(p hedge.Path, node *hedge.Node) bool {
 				res.addMatch(p, node)
 				if n++; n&63 == 0 && time.Now().After(deadline) {
 					timedOut = true

@@ -2,21 +2,20 @@ package xmlhedge
 
 // Byte-level resynchronization for malformed records.
 //
-// encoding/xml's Decoder is sticky: after a syntax error it refuses to
-// continue, so a single malformed record would otherwise poison the rest
-// of the stream. With a named split the record delimiter is known, which
-// makes recovery possible below the XML layer: scan the raw bytes for the
-// next `<name` start tag (aware of comments, CDATA, processing
-// instructions, and attribute quoting, so a delimiter-looking sequence
-// inside those is not mistaken for a record) and hand a fresh decoder the
-// stream from that point.
+// The splitter's tokenizer (tok.go) reports malformed markup as a sticky
+// *xml.SyntaxError: nothing after the failure point can be tokenized
+// reliably, so a single malformed record would otherwise end the stream.
+// With a named split the record delimiter is known, which makes recovery
+// possible below the token layer: scan the raw bytes for the next `<name`
+// start tag (aware of comments, CDATA, processing instructions, and
+// attribute quoting, so a delimiter-looking sequence inside those is not
+// mistaken for a record) and start a fresh tokenizer at that offset.
 //
-// The decoder may have read ahead of the failure point before dying — up
-// to one unread byte, since it consumes its input via io.ByteReader when
-// the reader provides one. tailReader guarantees that interface and
-// additionally remembers the last tailWindow delivered bytes, so a
-// replacement decoder (or the scanner) can be re-anchored at any recent
-// absolute offset without the underlying reader being seekable.
+// tailReader buffers the live input and remembers the last tailWindow
+// consumed bytes, so the scanner and the tokenizer can be re-anchored at
+// any recent absolute offset without the underlying reader being
+// seekable: replayFrom serves the byte-at-a-time scanner, replaySourceFrom
+// a degraded-mode tokenizer placed on a scan hit.
 
 import (
 	"fmt"
@@ -24,14 +23,14 @@ import (
 )
 
 // tailWindow is how far back replayFrom can re-anchor. It bounds the
-// decoder's possible readahead (≤ 1 byte) plus the longest start tag
-// prefix the scanner may need to replay: `<` + split name + delimiter.
+// longest start-tag prefix the scanner consumes before a hit and must
+// replay to the tokenizer: `<` + split name + delimiter.
 const tailWindow = 256
 
-// tailReader delivers bytes to the XML decoder one at a time (so the
-// decoder's readahead is at most the single ungetc byte) while remembering
-// the last tailWindow bytes delivered. off is the absolute offset of the
-// next byte to deliver — equal to the total bytes handed out so far.
+// tailReader is the splitter's byteSource over the live input: it buffers
+// reads from src and remembers the last tailWindow bytes consumed. off is
+// the absolute offset of the next byte to consume — equal to the total
+// bytes consumed so far.
 type tailReader struct {
 	src  io.Reader
 	buf  []byte
