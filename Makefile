@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check soak bench bench-json trace-overhead telemetry-overhead bench-gate bench-history
+.PHONY: all build test race vet fmt check soak fuzz bench bench-json trace-overhead telemetry-overhead bench-gate bench-history
 
 all: check
 
@@ -35,6 +35,18 @@ fmt:
 # status, deadlock, or leaked goroutine.
 soak:
 	$(GO) test -race -count=1 -run TestSoak ./internal/serve/ -soak 30s -v
+
+# fuzz is the opt-in fuzzing run, excluded from check like soak: each of
+# the four xmlhedge fuzz targets — the splitter against encoding/xml, the
+# prefiltered reader against the unfiltered one, the reader under resource
+# limits, and skip-policy recovery — runs for 60 seconds. A failing input
+# is written under internal/xmlhedge/testdata/fuzz; commit it as a
+# regression seed once fixed.
+fuzz:
+	@for t in FuzzSplitVsParse FuzzPrefilterDifferential FuzzRecordReader FuzzRecordReaderSkip; do \
+		echo "fuzz: $$t"; \
+		$(GO) test -run NONE -fuzz "^$$t\$$" -fuzztime 60s ./internal/xmlhedge/ || exit 1; \
+	done
 
 # check is the CI gate: formatting, static analysis (go vet ./...), the
 # full test suite, one race-detector run over every package, a quick

@@ -4,29 +4,34 @@ package xmlhedge
 //
 // A compiled query knows a set of element labels every matching record must
 // contain (core.RequiredLabels). Before parsing a record, the reader skims
-// its raw bytes — a structural scan that finds the record's extent without
-// building anything — and searches the extent for each required label. A
-// record missing one cannot produce a match, so it is skipped whole:
-// no node allocation, no evaluation, just one bulk consume.
+// its raw bytes: a structural scan that finds the record's extent and
+// validates it without building anything. Validating a start tag means
+// reading its name, so the skim takes label presence from the names
+// themselves: it looks up each tag's local name (localName, the very
+// helper the tokenizer uses) in the prefilter's label index and sets that
+// label's presence bit. Together with the record root's own name that is
+// exactly the set of element names the parsed record holds, so the verdict
+// is exact: a label that occurs only in a comment, a CDATA section, an
+// attribute value, or text never keeps a record, because such a record
+// holds no element of that name. A record whose names satisfy no
+// requirement group is skipped whole: no node allocation, no evaluation,
+// one bulk consume.
 //
-// The skim must preserve the reader's observable behavior exactly, so it is
-// deliberately conservative: it only skips a record when the scanned bytes
-// would definitely have parsed cleanly (tag structure, attribute grammar,
-// entities, comments/CDATA/PIs all validated to the tokenizer's rules) and
-// definitely stay inside every configured resource limit. On any doubt —
-// truncation, a lookahead cap, markup the tokenizer would reject, a limit
-// that might trip — the skim consumes nothing and the record parses
-// byte-identically to an unfiltered run. Skipped bytes flow through the
-// normal consume path, so the resynchronization tail window stays exactly
-// as an unfiltered run would have left it.
+// The skim must preserve the reader's observable behavior exactly, so it
+// only skips a record when the scanned bytes would definitely have parsed
+// cleanly (tag structure, end-tag names, attribute grammar, entities,
+// comments/CDATA/PIs all validated to the tokenizer's rules) and definitely
+// stay inside every configured resource limit. On any doubt — truncation, a
+// lookahead cap, markup the tokenizer would reject, a limit that might trip
+// — the skim consumes nothing and the record parses byte-identically to an
+// unfiltered run. Skipped bytes flow through the normal consume path, so
+// the resynchronization tail stays exactly as an unfiltered run would have
+// left it, and the line count advances by exactly what the tokenizer would
+// have counted over them.
 //
-// Label presence is a byte search, not a parse: an element with local name
-// L appears in raw XML as `<L` or `<prefix:L` (the tokenizer strips the
-// prefix at the first colon), so L's bytes occur preceded by '<' or ':'
-// (or '/' in its end tag) and followed by a non-name byte. Matches inside
-// comments, CDATA, attribute values, or text are false positives that only
-// prevent a skip — never unsound. The record root's own name is checked
-// directly (its tag is already consumed when the skim runs).
+// The skim indexes the read buffer's window directly and refills it only
+// when a position passes the window's end; text runs, attribute values,
+// and comment/CDATA/PI bodies are found with memchr-style searches.
 
 import (
 	"bytes"
@@ -40,10 +45,10 @@ import (
 const prefilterLookahead = 1 << 20
 
 // MaxPrefilterGroups bounds how many requirement groups (and how many
-// distinct labels) a multi-query prefilter can track. Verdicts and label
-// presence are word-slice bitsets, so the bound is a memory/scan-cost cap,
-// not a representation limit. NewMultiPrefilter returns nil beyond the
-// bound — every record then parses and evaluates normally.
+// distinct labels) a prefilter can track. Verdicts and label presence are
+// word-slice bitsets, so the bound is a memory/scan-cost cap, not a
+// representation limit. NewMultiPrefilter returns nil beyond the bound —
+// every record then parses and evaluates normally.
 const MaxPrefilterGroups = 1024
 
 // Hint is the prefilter's per-group verdict bitset for one record: bit
@@ -108,71 +113,59 @@ func (b bitset) set(i int)      { b[i/64] |= 1 << (uint(i) & 63) }
 func (b bitset) has(i int) bool { return b[i/64]&(1<<(uint(i)&63)) != 0 }
 func bitsetWords(n int) int     { return (n + 63) / 64 }
 
-// verdictScratch holds the per-record bitsets a reader's skims reuse:
-// label-presence memoization and the group verdict under construction.
-// One reader skims one record at a time, so a single scratch set
-// suffices; the verdict handed out on a kept record is cloned off mask.
+// verdictScratch holds the per-record bitsets a reader's skims reuse: the
+// labels present and the group verdict built from them. One reader skims
+// one record at a time, so a single scratch set suffices; the verdict
+// handed out on a kept record is cloned off mask.
 type verdictScratch struct {
-	checked, present, mask bitset
+	present, mask bitset
 }
 
-func (sc *verdictScratch) ensure(labels, groups int) {
-	lw, gw := bitsetWords(labels), bitsetWords(groups)
-	if cap(sc.checked) < lw {
-		sc.checked = make(bitset, lw)
+// reset sizes the scratch for p and clears every presence bit.
+func (sc *verdictScratch) reset(p *Prefilter) {
+	lw, gw := bitsetWords(len(p.ids)), bitsetWords(len(p.groups))
+	if cap(sc.present) < lw {
 		sc.present = make(bitset, lw)
 	}
-	sc.checked = sc.checked[:lw]
 	sc.present = sc.present[:lw]
-	clear(sc.checked)
 	clear(sc.present)
 	if cap(sc.mask) < gw {
 		sc.mask = make(bitset, gw)
 	}
 	sc.mask = sc.mask[:gw]
-	clear(sc.mask)
 }
 
-// Prefilter is a compiled required-label matcher. A nil *Prefilter (or one
-// built from an empty label set) disables prefiltering.
+// Prefilter is a compiled required-label matcher over one or more
+// requirement groups. A nil *Prefilter disables prefiltering.
 //
-// A prefilter built by NewMultiPrefilter tracks several requirement groups
-// at once over the union of their labels: one skim decides, per group,
-// whether every required label is present. A record is skipped only when
-// NO group is satisfied (requiring the union conjunctively would be
+// One skim decides, per group, whether every label the group requires is
+// an element name of the record. A record is skipped only when NO group is
+// satisfied (requiring the union of the groups conjunctively would be
 // unsound — it would skip records one group alone could match); kept
 // records carry the per-group verdict as Record.Hint so the evaluator can
 // skip automata whose requirements are provably absent.
 type Prefilter struct {
-	labels [][]byte
-	names  []string
-	// groups[i] lists indices into labels that group i requires; nil means
-	// a single-group prefilter requiring every label (NewPrefilter).
+	names []string // the label set, sorted (Labels)
+	// ids maps each label to its index: the bit it owns in a presence set.
+	ids map[string]int
+	// lens has bit min(len(l), 63) set for every label l, so most names no
+	// label can match are rejected on their length before the map lookup.
+	lens uint64
+	// groups[i] lists the indices of the labels group i requires; nil for
+	// a group with no requirement.
 	groups [][]int
 	// free marks groups with an empty requirement set: they can match any
 	// record, so their verdict bit is always on and no record is skippable.
 	free bitset
 }
 
-// NewPrefilter compiles a prefilter from required element labels. Labels
-// are deduplicated; empty strings are dropped. Returns nil when nothing
-// remains — an empty requirement set can never reject a record.
+// NewPrefilter compiles a single-group prefilter from required element
+// labels: NewMultiPrefilter over the one group. Empty strings are dropped;
+// it returns nil when nothing remains — an empty requirement set can never
+// reject a record — or when more than MaxPrefilterGroups distinct labels
+// remain.
 func NewPrefilter(labels []string) *Prefilter {
-	seen := make(map[string]bool, len(labels))
-	p := &Prefilter{}
-	for _, l := range labels {
-		if l == "" || seen[l] {
-			continue
-		}
-		seen[l] = true
-		p.names = append(p.names, l)
-		p.labels = append(p.labels, []byte(l))
-	}
-	if len(p.labels) == 0 {
-		return nil
-	}
-	sort.Strings(p.names)
-	return p
+	return NewMultiPrefilter([][]string{labels})
 }
 
 // NewMultiPrefilter compiles one prefilter over several requirement
@@ -186,10 +179,10 @@ func NewMultiPrefilter(groups [][]string) *Prefilter {
 		return nil
 	}
 	p := &Prefilter{
+		ids:    make(map[string]int),
 		groups: make([][]int, len(groups)),
 		free:   make(bitset, bitsetWords(len(groups))),
 	}
-	idx := make(map[string]int)
 	anyReq := false
 	for gi, g := range groups {
 		var is []int
@@ -197,12 +190,12 @@ func NewMultiPrefilter(groups [][]string) *Prefilter {
 			if l == "" {
 				continue
 			}
-			li, ok := idx[l]
+			li, ok := p.ids[l]
 			if !ok {
-				li = len(p.labels)
-				idx[l] = li
+				li = len(p.ids)
+				p.ids[l] = li
 				p.names = append(p.names, l)
-				p.labels = append(p.labels, []byte(l))
+				p.lens |= 1 << min(len(l), 63)
 			}
 			is = append(is, li)
 		}
@@ -213,7 +206,7 @@ func NewMultiPrefilter(groups [][]string) *Prefilter {
 		anyReq = true
 		p.groups[gi] = is
 	}
-	if !anyReq || len(p.labels) > MaxPrefilterGroups {
+	if !anyReq || len(p.ids) > MaxPrefilterGroups {
 		return nil
 	}
 	sort.Strings(p.names)
@@ -223,41 +216,27 @@ func NewMultiPrefilter(groups [][]string) *Prefilter {
 // Labels returns the compiled label set, sorted.
 func (p *Prefilter) Labels() []string { return p.names }
 
-// verdict returns the bitset of requirement groups whose every required
-// label is present in the record (bit i set means group i may match; an
-// all-clear verdict means the record can be skipped whole). Presence is
-// decided exactly as matchedBy does — root-name equality or an
-// element-name byte pattern in body — so false positives only keep a
-// group live, never drop one. A single-group prefilter answers with bit 0
-// alone. The returned Hint's overflow words alias sc's storage; callers
-// that retain a verdict past the next skim must clone it.
-func (p *Prefilter) verdict(body, rootName []byte, sc *verdictScratch) Hint {
-	if p.groups == nil {
-		if p.matchedBy(body, rootName) {
-			return Hint{W0: 1}
-		}
-		return Hint{}
+// mark sets the presence bit of the label equal to the element local name
+// name, if there is one. It does not allocate.
+func (p *Prefilter) mark(name []byte, present bitset) {
+	if p.lens&(1<<min(len(name), 63)) == 0 {
+		return
 	}
-	// Label presence is computed lazily and memoized across groups: each
-	// group short-circuits at its first missing label, and a label shared
-	// by many groups (common when queries overlap) is searched once. On a
-	// record satisfying no group this often settles after a single search
-	// — the same short-circuit a single-query matchedBy enjoys.
-	sc.ensure(len(p.labels), len(p.groups))
+	if li, ok := p.ids[string(name)]; ok {
+		present.set(li)
+	}
+}
+
+// verdict returns the bitset of requirement groups whose every required
+// label is present (bit i set means group i may match; an all-clear
+// verdict means the record can be skipped whole). The returned Hint's
+// overflow words alias sc's storage; callers that retain a verdict past
+// the next skim must clone it.
+func (p *Prefilter) verdict(sc *verdictScratch) Hint {
 	copy(sc.mask, p.free)
 	for gi, g := range p.groups {
-		if g == nil {
-			continue // free group, already in the mask
-		}
-		sat := true
+		sat := g != nil // a free group is already in the mask
 		for _, li := range g {
-			if !sc.checked.has(li) {
-				sc.checked.set(li)
-				l := p.labels[li]
-				if bytes.Equal(l, rootName) || labelInBytes(body, l) {
-					sc.present.set(li)
-				}
-			}
 			if !sc.present.has(li) {
 				sat = false
 				break
@@ -274,76 +253,21 @@ func (p *Prefilter) verdict(body, rootName []byte, sc *verdictScratch) Hint {
 	return h
 }
 
-// matchedBy reports whether the record could match: every required label is
-// the root's local name or occurs as an element-name byte pattern in body
-// (the record's raw bytes after the root start tag, through its end tag).
-func (p *Prefilter) matchedBy(body []byte, rootName []byte) bool {
-	for _, l := range p.labels {
-		if bytes.Equal(l, rootName) {
-			continue
-		}
-		if !labelInBytes(body, l) {
-			return false
-		}
-	}
-	return true
-}
-
-// labelInBytes searches for label occurring as an element name: preceded by
-// '<' (plain start tag), ':' (namespace-prefixed), or '/' (end tag), and
-// followed by a byte that cannot continue an XML name.
-func labelInBytes(b, label []byte) bool {
-	for i := 0; ; {
-		j := bytes.Index(b[i:], label)
-		if j < 0 {
-			return false
-		}
-		k := i + j
-		end := k + len(label)
-		if k > 0 && end < len(b) &&
-			(b[k-1] == '<' || b[k-1] == ':' || b[k-1] == '/') &&
-			!isNameByte(b[end]) {
-			return true
-		}
-		i = k + 1
-	}
-}
-
-// fillTo tries to ensure at least n unconsumed bytes are buffered, reading
-// more input and growing the buffer as needed, and returns the buffered
-// window (shorter than n when the source is exhausted or erroring). It
-// consumes nothing: the tokenizer resumes exactly where it was, and a
-// relative index into the returned window stays valid across further fills
-// (compaction and growth preserve the unconsumed prefix).
-func (t *tailReader) fillTo(n int) []byte {
-	for t.w-t.r < n && t.rerr == nil {
-		if t.w == len(t.buf) {
-			if t.r > 0 {
-				copy(t.buf, t.buf[t.r:t.w])
-				t.w -= t.r
-				t.r = 0
-			} else {
-				nb := make([]byte, 2*len(t.buf))
-				copy(nb, t.buf[:t.w])
-				t.buf = nb
-			}
-		}
-		m, err := t.src.Read(t.buf[t.w:])
-		t.w += m
-		if err != nil {
-			t.rerr = err
-		}
-	}
-	return t.buf[t.r:t.w]
-}
+// Terminators of the markup the skim steps over whole.
+var (
+	commentEnd = []byte("-->")
+	cdataEnd   = []byte("]]>")
+	piEnd      = []byte("?>")
+)
 
 // skimResult describes a successfully skimmed record: its extent and the
 // structural tallies the caller checks against resource limits.
 type skimResult struct {
 	n        int // bytes from the current position through the closing '>'
 	elems    int // start tags seen, the record root excluded
-	texts    int // gaps and CDATA sections that could each become a text node
+	texts    int // text runs and CDATA sections that could each become a text node
 	maxDepth int // deepest open-element nesting, the root counting as 1
+	loneCRs  int // '\r' bytes no '\n' follows in text and CDATA (with skimmer.crs)
 }
 
 // skimmer scans buffered lookahead bytes without consuming them. All
@@ -352,39 +276,45 @@ type skimResult struct {
 type skimmer struct {
 	t   *tailReader
 	max int
+	// w is the buffered window from the read position, capped at max;
+	// positions index it directly. A fill may move the buffer, so w is
+	// re-sliced after every one.
+	w []byte
+	// pf and present receive the label presence of every start tag.
+	pf      *Prefilter
+	present bitset
+	// root is the record root's raw start-tag name — the tokenizer's top
+	// open name — which the end tag that closes the record must repeat.
+	root []byte
+	// keepWS makes a whitespace-only text run count as a potential text
+	// node (RecordOptions.KeepWhitespace).
+	keepWS bool
+	// crs turns on counting skimResult.loneCRs.
+	crs bool
 	// stack holds the open elements' raw-name extents as (start, end)
-	// pairs of relative offsets, for end-tag matching. Extents stay valid
-	// across fills because refilling preserves relative positions.
+	// pairs of positions, for end-tag matching. Extents stay valid across
+	// fills because refilling preserves relative positions.
 	stack []int
 }
 
-// byteAt returns the lookahead byte at relative position i, or ok=false at
-// the cap, end of input, or a read error — all of which abort the skim.
-func (s *skimmer) byteAt(i int) (byte, bool) {
+// fill extends the window to cover position i, reading more input. It
+// reports false at the cap, at the end of input, or on a read error — all
+// of which abort the skim.
+func (s *skimmer) fill(i int) bool {
 	if i >= s.max {
-		return 0, false
+		return false
 	}
 	w := s.t.fillTo(i + 1)
-	if i >= len(w) {
-		return 0, false
-	}
-	return w[i], true
+	s.w = w[:min(len(w), s.max)]
+	return i < len(s.w)
 }
 
-// window returns the buffered bytes from relative position i, filling so at
-// least one byte past i is available; ok=false aborts the skim.
-func (s *skimmer) window(i int) ([]byte, bool) {
-	if i >= s.max {
-		return nil, false
+// at returns the byte at position i; ok=false aborts the skim.
+func (s *skimmer) at(i int) (byte, bool) {
+	if i >= len(s.w) && !s.fill(i) {
+		return 0, false
 	}
-	w := s.t.fillTo(i + 1)
-	if i >= len(w) {
-		return nil, false
-	}
-	if len(w) > s.max {
-		w = w[:s.max]
-	}
-	return w, true
+	return s.w[i], true
 }
 
 // skimRecord scans forward from the current position — immediately after a
@@ -397,105 +327,56 @@ func (s *skimmer) skimRecord() (res skimResult, ok bool) {
 	res.maxDepth = 1
 	i := 0
 	for {
-		// Text run: everything up to the next '<'. A gap containing any
-		// non-whitespace byte may become a text node; entities must be ones
-		// the tokenizer would accept, else it would fail where we'd skip.
-		gapText := false
-	textRun:
-		for {
-			w, ok := s.window(i)
-			if !ok {
-				return res, false
-			}
-			j := bytes.IndexByte(w[i:], '<')
-			segEnd := len(w)
-			if j >= 0 {
-				segEnd = i + j
-			}
-			for k := i; k < segEnd; {
-				// Jump straight to the next entity; the bytes before it only
-				// matter for the text/whitespace distinction, which is settled
-				// after the first non-space byte of the gap.
-				a := bytes.IndexByte(w[k:segEnd], '&')
-				seg := segEnd
-				if a >= 0 {
-					seg = k + a
-				}
-				if !gapText && hasText(w[k:seg]) {
-					gapText = true
-				}
-				k = seg
-				if a < 0 {
-					break
-				}
-				n, valid := validEntityAt(w[k:segEnd])
-				if valid {
-					gapText = true
-					k += n
-					continue
-				}
-				// An entity cannot contain '<' and spans at most 18
-				// bytes, so with a tag boundary or 19+ bytes in view the
-				// verdict is final; otherwise buffer more and rescan.
-				if j >= 0 || segEnd-k >= 19 {
-					return res, false
-				}
-				if _, more := s.byteAt(len(w)); !more {
-					return res, false
-				}
-				continue textRun
-			}
-			i = segEnd
-			if j >= 0 {
-				break
-			}
+		end, text, ok := s.textRun(i)
+		if !ok {
+			return res, false
 		}
-		if gapText {
+		if text {
 			res.texts++
 		}
-		// Markup at i ('<').
-		b, ok := s.byteAt(i + 1)
+		if s.crs {
+			res.loneCRs += loneCRs(s.w[i:end])
+		}
+		// Markup at end ('<').
+		i = end
+		b, ok := s.at(i + 1)
 		if !ok {
 			return res, false
 		}
 		switch {
 		case b == '/':
-			end, match, ok := s.endTagAt(i + 2)
-			if !ok || !match {
+			if i, ok = s.endTag(i + 2); !ok {
 				return res, false
 			}
-			depth--
-			i = end
-			if depth == 0 {
+			if depth--; depth == 0 {
 				res.n = i
 				return res, true
 			}
 		case b == '!':
-			end, isText, ok := s.bangAt(i + 2)
+			end, cdata, ok := s.bang(i + 2)
 			if !ok {
 				return res, false
 			}
-			if isText {
+			if cdata {
 				res.texts++
+				if s.crs {
+					res.loneCRs += loneCRs(s.w[i+len("<![CDATA[") : end-len(cdataEnd)])
+				}
 			}
 			i = end
 		case b == '?':
-			end, ok := s.skipToAt(i+2, "?>")
-			if !ok {
+			if i, ok = s.skipTo(i+2, piEnd); !ok {
 				return res, false
 			}
-			i = end
 		case isNameStart(b):
-			end, selfClose, ok := s.startTagAt(i + 1)
+			end, selfClose, ok := s.startTag(i + 1)
 			if !ok {
 				return res, false
 			}
 			res.elems++
 			// Even a self-closing element occupies depth+1 for the parser's
 			// MaxDepth check, so it counts toward maxDepth either way.
-			if depth+1 > res.maxDepth {
-				res.maxDepth = depth + 1
-			}
+			res.maxDepth = max(res.maxDepth, depth+1)
 			if !selfClose {
 				depth++
 			}
@@ -506,47 +387,133 @@ func (s *skimmer) skimRecord() (res skimResult, ok bool) {
 	}
 }
 
-// nameAt consumes XML name bytes starting at i, returning the position of
-// the first non-name byte. The caller has verified i starts a name.
-func (s *skimmer) nameAt(i int) (int, bool) {
+// textRun scans character data from position i to the next '<' and
+// returns that position. text reports whether the run may become a text
+// node: it holds a non-space byte or an entity, or, under keepWS, any byte
+// at all. Every entity must be one the tokenizer accepts, or the skim
+// aborts.
+func (s *skimmer) textRun(i int) (end int, text, ok bool) {
+	if i < len(s.w) && s.w[i] == '<' {
+		return i, false, true // no text between two tags
+	}
+	k := i // bytes before k are scanned, their entities validated
 	for {
-		b, ok := s.byteAt(i)
-		if !ok {
-			return 0, false
+		lim := len(s.w)
+		j := bytes.IndexByte(s.w[k:], '<')
+		if j >= 0 {
+			lim = k + j
 		}
-		if !isNameByte(b) {
-			return i, true
+		for k < lim {
+			a := bytes.IndexByte(s.w[k:lim], '&')
+			if a < 0 {
+				text = text || hasText(s.w[k:lim])
+				k = lim
+				break
+			}
+			text = text || hasText(s.w[k:k+a])
+			k += a
+			n, valid := validEntityAt(s.w[k:lim])
+			if !valid {
+				// An entity cannot contain '<' and spans at most 18 bytes,
+				// so with a tag boundary or 19+ bytes in view the verdict
+				// is final; otherwise it may end past the window.
+				if j >= 0 || lim-k >= 19 {
+					return 0, false, false
+				}
+				break
+			}
+			text = true
+			k += n
 		}
-		i++
+		if j >= 0 {
+			return lim, text || (s.keepWS && lim > i), true
+		}
+		if !s.fill(len(s.w)) {
+			return 0, false, false
+		}
 	}
 }
 
-// startTagAt validates a start tag from the first name byte at i through
+// nameEnd returns the position of the first byte at or after i that
+// cannot continue an XML name.
+func (s *skimmer) nameEnd(i int) (int, bool) {
+	for {
+		for ; i < len(s.w); i++ {
+			if !isNameByte(s.w[i]) {
+				return i, true
+			}
+		}
+		if !s.fill(i) {
+			return 0, false
+		}
+	}
+}
+
+// spaceEnd returns the position of the first non-whitespace byte at or
+// after i.
+func (s *skimmer) spaceEnd(i int) (int, bool) {
+	for {
+		for ; i < len(s.w); i++ {
+			if !isXMLSpace(s.w[i]) {
+				return i, true
+			}
+		}
+		if !s.fill(i) {
+			return 0, false
+		}
+	}
+}
+
+// past returns the position just after the first c at or after i.
+func (s *skimmer) past(i int, c byte) (int, bool) {
+	for {
+		if j := bytes.IndexByte(s.w[i:], c); j >= 0 {
+			return i + j + 1, true
+		}
+		i = len(s.w)
+		if !s.fill(i) {
+			return 0, false
+		}
+	}
+}
+
+// skipTo returns the position just after the first occurrence of pat at or
+// after i.
+func (s *skimmer) skipTo(i int, pat []byte) (int, bool) {
+	for {
+		if j := bytes.Index(s.w[i:], pat); j >= 0 {
+			return i + j + len(pat), true
+		}
+		// An occurrence may straddle the window's end: resume just before.
+		i = max(i, len(s.w)-len(pat)+1)
+		if !s.fill(len(s.w)) {
+			return 0, false
+		}
+	}
+}
+
+// startTag validates a start tag from the first name byte at i through
 // its '>' (or '/>'), applying the tokenizer's attribute grammar exactly:
-// anything it would reject aborts the skim. The raw name extent is pushed
-// for end-tag matching unless the tag self-closes.
-func (s *skimmer) startTagAt(i int) (end int, selfClose bool, ok bool) {
-	nameStart := i
-	i, ok = s.nameAt(i)
-	if !ok {
+// anything it would reject aborts the skim. The tag's local name marks its
+// label present, and the raw name extent is pushed for end-tag matching
+// unless the tag self-closes.
+func (s *skimmer) startTag(i int) (end int, selfClose, ok bool) {
+	start := i
+	if i, ok = s.nameEnd(i); !ok {
 		return 0, false, false
 	}
 	nameEnd := i
+	s.pf.mark(localName(s.w[start:nameEnd]), s.present)
 	for {
-		b, ok := s.byteAt(i)
-		if !ok {
+		if i, ok = s.spaceEnd(i); !ok {
 			return 0, false, false
 		}
-		switch {
-		case isXMLSpace(b):
-			i++
-			continue
+		switch b := s.w[i]; {
 		case b == '>':
-			s.stack = append(s.stack, nameStart, nameEnd)
+			s.stack = append(s.stack, start, nameEnd)
 			return i + 1, false, true
 		case b == '/':
-			c, ok := s.byteAt(i + 1)
-			if !ok || c != '>' {
+			if c, ok := s.at(i + 1); !ok || c != '>' {
 				return 0, false, false
 			}
 			return i + 2, true, true
@@ -555,146 +522,76 @@ func (s *skimmer) startTagAt(i int) (end int, selfClose bool, ok bool) {
 		}
 		// Attribute: name, optional spaces, '=', optional spaces, quoted
 		// value — the tokenizer accepts nothing less.
-		if i, ok = s.nameAt(i + 1); !ok {
+		if i, ok = s.nameEnd(i + 1); !ok {
 			return 0, false, false
 		}
-		for {
-			b, ok := s.byteAt(i)
-			if !ok {
-				return 0, false, false
-			}
-			if !isXMLSpace(b) {
-				break
-			}
-			i++
-		}
-		if b, ok := s.byteAt(i); !ok || b != '=' {
+		if i, ok = s.spaceEnd(i); !ok || s.w[i] != '=' {
 			return 0, false, false
 		}
-		i++
-		for {
-			b, ok := s.byteAt(i)
-			if !ok {
-				return 0, false, false
-			}
-			if !isXMLSpace(b) {
-				break
-			}
-			i++
-		}
-		q, ok := s.byteAt(i)
-		if !ok || (q != '\'' && q != '"') {
+		if i, ok = s.spaceEnd(i + 1); !ok {
 			return 0, false, false
 		}
-		i++
-		for {
-			b, ok := s.byteAt(i)
-			if !ok {
-				return 0, false, false
-			}
-			i++
-			if b == q {
-				break
-			}
+		q := s.w[i]
+		if q != '\'' && q != '"' {
+			return 0, false, false
+		}
+		if i, ok = s.past(i+1, q); !ok {
+			return 0, false, false
 		}
 	}
 }
 
-// endTagAt validates an end tag from the first name byte at i through its
-// '>', and matches the raw name against the innermost open start tag — a
-// mismatch would fail the real parse, so it aborts the skim.
-func (s *skimmer) endTagAt(i int) (end int, match, ok bool) {
-	b, ok := s.byteAt(i)
-	if !ok || !isNameStart(b) {
-		return 0, false, false
+// endTag validates an end tag from the first name byte at i through its
+// '>', and matches the raw name against the innermost open element — the
+// record root's own name once the skim's stack is empty. A mismatch would
+// fail the real parse, so it aborts the skim.
+func (s *skimmer) endTag(i int) (end int, ok bool) {
+	if b, ok := s.at(i); !ok || !isNameStart(b) {
+		return 0, false
 	}
-	nameStart := i
-	i, ok = s.nameAt(i)
-	if !ok {
-		return 0, false, false
+	start := i
+	if i, ok = s.nameEnd(i); !ok {
+		return 0, false
 	}
 	nameEnd := i
-	for {
-		b, ok := s.byteAt(i)
-		if !ok {
-			return 0, false, false
-		}
-		if !isXMLSpace(b) {
-			if b != '>' {
-				return 0, false, false
-			}
-			break
-		}
-		i++
+	if i, ok = s.spaceEnd(i); !ok || s.w[i] != '>' {
+		return 0, false
 	}
-	if len(s.stack) == 0 {
-		// The record root's name is not on the skim stack: depth 1 closing
-		// means this end tag is the root's, already matched by the caller's
-		// tokenizer state. Structural validity is all that's needed here.
-		return i + 1, true, true
+	open := s.root
+	if n := len(s.stack); n > 0 {
+		open = s.w[s.stack[n-2]:s.stack[n-1]]
+		s.stack = s.stack[:n-2]
 	}
-	ns, ne := s.stack[len(s.stack)-2], s.stack[len(s.stack)-1]
-	s.stack = s.stack[:len(s.stack)-2]
-	w := s.t.buf[s.t.r:s.t.w]
-	if !bytes.Equal(w[ns:ne], w[nameStart:nameEnd]) {
-		return 0, false, false
+	if !bytes.Equal(open, s.w[start:nameEnd]) {
+		return 0, false
 	}
-	return i + 1, true, true
+	return i + 1, true
 }
 
-// bangAt handles "<!" at relative position i (first byte after the '!'):
-// comments and CDATA sections are skipped to their terminators; CDATA
-// counts as potential text. Directives inside a record are rare and
-// DOCTYPE-shaped ones need nesting rules, so they abort the skim.
-func (s *skimmer) bangAt(i int) (end int, isText, ok bool) {
-	b, ok := s.byteAt(i)
-	if !ok {
-		return 0, false, false
-	}
-	switch b {
-	case '-':
-		c, ok := s.byteAt(i + 1)
-		if !ok || c != '-' {
+// bang handles "<!" with i at the byte after the '!': comments and CDATA
+// sections are skipped to their terminators. Directives inside a record
+// are rare and DOCTYPE-shaped ones need nesting rules, so they abort the
+// skim.
+func (s *skimmer) bang(i int) (end int, cdata, ok bool) {
+	b, ok := s.at(i)
+	switch {
+	case !ok:
+	case b == '-':
+		if c, ok := s.at(i + 1); !ok || c != '-' {
 			return 0, false, false
 		}
-		end, ok = s.skipToAt(i+2, "-->")
+		end, ok = s.skipTo(i+2, commentEnd)
 		return end, false, ok
-	case '[':
+	case b == '[':
 		for k, c := range []byte("CDATA[") {
-			d, ok := s.byteAt(i + 1 + k)
-			if !ok || d != c {
+			if d, ok := s.at(i + 1 + k); !ok || d != c {
 				return 0, false, false
 			}
 		}
-		end, ok = s.skipToAt(i+7, "]]>")
+		end, ok = s.skipTo(i+7, cdataEnd)
 		return end, true, ok
-	default:
-		return 0, false, false
 	}
-}
-
-// skipToAt advances past the next occurrence of pat (2-3 bytes), returning
-// the position just after it, via a sliding window so overlapping
-// occurrences ("--->") are not missed.
-func (s *skimmer) skipToAt(i int, pat string) (int, bool) {
-	var w [3]byte
-	n := 0
-	for {
-		b, ok := s.byteAt(i)
-		if !ok {
-			return 0, false
-		}
-		i++
-		if n < len(w) {
-			w[n] = b
-			n++
-		} else {
-			w[0], w[1], w[2] = w[1], w[2], b
-		}
-		if n >= len(pat) && string(w[n-len(pat):n]) == pat {
-			return i, true
-		}
-	}
+	return 0, false, false
 }
 
 // hasText reports whether b contains any byte that is not XML whitespace.
@@ -774,11 +671,13 @@ func validEntityAt(b []byte) (n int, ok bool) {
 func (rr *RecordReader) tryPrefilter(startOff int64) bool {
 	pf := rr.opts.Prefilter
 	tk := rr.tk
+	sc := &rr.pfScratch
+	sc.reset(pf)
+	pf.mark(tk.name, sc.present)
 	if tk.selfClose {
-		// The record is exactly its root element; the only label present is
-		// the root's name.
-		if mask := pf.verdict(nil, tk.name, &rr.pfScratch); !mask.zero() {
-			rr.hint = mask.clone()
+		// The record is exactly its root element.
+		if h := pf.verdict(sc); !h.zero() {
+			rr.hint = h.clone()
 			return false
 		}
 		tk.selfClose = false
@@ -798,7 +697,8 @@ func (rr *RecordReader) tryPrefilter(startOff int64) bool {
 			max = int(rem)
 		}
 	}
-	sk := skimmer{t: rr.tr, max: max, stack: rr.skimStack[:0]}
+	sk := skimmer{t: rr.tr, max: max, pf: pf, present: sc.present, root: tk.top(),
+		keepWS: rr.opts.KeepWhitespace, stack: rr.skimStack[:0]}
 	res, ok := sk.skimRecord()
 	rr.skimStack = sk.stack[:0]
 	if !ok {
@@ -817,18 +717,27 @@ func (rr *RecordReader) tryPrefilter(startOff int64) bool {
 	if sb := rr.opts.MaxStreamBytes; sb > 0 && tk.off()+int64(res.n) > sb {
 		return false
 	}
-	body := rr.tr.buf[rr.tr.r : rr.tr.r+res.n]
-	if mask := pf.verdict(body, tk.name, &rr.pfScratch); !mask.zero() {
-		rr.hint = mask.clone()
+	if h := pf.verdict(sc); !h.zero() {
+		rr.hint = h.clone()
 		return false
 	}
-	// Skip: account skipped lines for later error positions, consume the
-	// record's bytes through the normal path (keeping the resync tail
-	// window exactly as a parse would), pop the root, burn the slot.
-	tk.line += countLines(body)
-	rr.tr.consume(res.n)
+	// Skip: advance the line count exactly as the tokenizer would have over
+	// the skipped bytes — every '\n', plus each '\r' no '\n' follows in
+	// text or CDATA (in markup the tokenizer reads a lone '\r' as plain
+	// whitespace). Lone CRs are rare, so only a record holding one is
+	// skimmed a second time to place them. Then consume the record's bytes
+	// through the normal path (keeping the resync tail exactly as a parse
+	// would), pop the root, burn the slot.
+	body := sk.w[:res.n]
+	tk.line += bytes.Count(body, newline)
+	if loneCRs(body) > 0 {
+		sk.crs = true
+		res, _ = sk.skimRecord()
+		tk.line += res.loneCRs
+	}
+	rr.tr.consume(len(body))
 	tk.pop()
-	rr.recordPrefiltered(startOff, int64(res.n))
+	rr.recordPrefiltered(startOff, int64(len(body)))
 	return true
 }
 
@@ -847,20 +756,18 @@ func (rr *RecordReader) recordPrefiltered(startOff, n int64) {
 	rr.consumeSlot()
 }
 
-// countLines counts line endings the tokenizer would have counted in the
-// skipped bytes ("\r\n" and "\r" normalize to one line each), keeping later
-// error line numbers aligned with an unfiltered parse.
-func countLines(b []byte) int {
-	n := bytes.Count(b, []byte{'\n'})
-	for i := 0; ; {
-		j := bytes.IndexByte(b[i:], '\r')
+// loneCRs counts the '\r' bytes in b that no '\n' follows; a '\r' that
+// ends b counts, since markup follows it.
+func loneCRs(b []byte) int {
+	n := 0
+	for {
+		j := bytes.IndexByte(b, '\r')
 		if j < 0 {
 			return n
 		}
-		k := i + j
-		if k+1 >= len(b) || b[k+1] != '\n' {
+		if j+1 == len(b) || b[j+1] != '\n' {
 			n++
 		}
-		i = k + 1
+		b = b[j+1:]
 	}
 }

@@ -28,51 +28,76 @@ func TestNewPrefilter(t *testing.T) {
 	}
 }
 
-func TestLabelInBytes(t *testing.T) {
-	cases := []struct {
-		body  string
-		label string
-		want  bool
-	}{
-		{"<price>1</price>", "price", true},
-		{"<ns:price>1</ns:price>", "price", true}, // prefix stripped at parse
-		{"</price>", "price", true},
-		{"<priceList/>", "price", false},   // name continues
-		{"<aprice/>", "price", false},      // not at a name boundary
-		{"price", "price", false},          // bare text at offset 0
-		{"x price y", "price", false},      // text occurrence
-		{"<x a='price'/>", "price", false}, // attribute value (no boundary)
-		{"<x>price</x><price/>", "price", true},
-		{"", "price", false},
-	}
-	for _, c := range cases {
-		if got := labelInBytes([]byte(c.body), []byte(c.label)); got != c.want {
-			t.Errorf("labelInBytes(%q, %q) = %v, want %v", c.body, c.label, got, c.want)
+func TestLocalName(t *testing.T) {
+	for raw, want := range map[string]string{
+		"price":     "price",
+		"ns:price":  "price",
+		"a:b:price": "b:price", // prefix stripped at the first colon only
+		":price":    ":price",  // a leading colon is no prefix separator
+		"a:":        "",
+		"p":         "p",
+	} {
+		if got := string(localName([]byte(raw))); got != want {
+			t.Errorf("localName(%q) = %q, want %q", raw, got, want)
 		}
 	}
 }
 
-// hedgeHasLabel force-evaluates the prefilter's claim on a parsed record:
-// does any element in the hedge carry the label?
+// TestPrefilterTagNameRule pins the exact presence rule: a label is present
+// when it is the local name of the record root or of a start tag in the
+// record (self-closing or not) — byte-exact, prefix stripped at the first
+// colon — and never because it occurs in an attribute name or value, text,
+// a comment or a CDATA section. Each case is one record; the whole table
+// also runs through the differential harness, so no rule change can lose a
+// match.
+func TestPrefilterTagNameRule(t *testing.T) {
+	cases := []struct {
+		record, label string
+		keep          bool
+	}{
+		{`<e><price>1</price></e>`, "price", true},
+		{`<e><x><price/></x></e>`, "price", true}, // self-closing, nested
+		{`<e><ns:price/></e>`, "price", true},
+		{`<e><ns:price/></e>`, "ns:price", false}, // labels are local names
+		{`<e><a:b:price/></e>`, "price", false},   // local name is b:price
+		{`<e><a:b:price/></e>`, "b:price", true},
+		{`<e><:price/></e>`, "price", false}, // local name is :price
+		{`<e><:price/></e>`, ":price", true},
+		{`<e><Price/></e>`, "price", false}, // byte-exact: case matters
+		{`<e><Price/></e>`, "Price", true},
+		{`<e><priceList/><aprice/></e>`, "price", false},
+		{`<e><x price="1"/></e>`, "price", false},    // attribute name
+		{`<e><x a="<price/>"/></e>`, "price", false}, // attribute value
+		{`<e price="1"/>`, "price", false},           // self-closing root's attribute
+		{`<e>price</e>`, "price", false},
+		{`<e><!--<price/>--></e>`, "price", false},
+		{`<e><![CDATA[<price/>]]></e>`, "price", false},
+		{`<e><?price?></e>`, "price", false},
+		{`<price><x/></price>`, "price", true}, // the record root
+		{`<price/>`, "price", true},            // a self-closing root
+		{`<ns:price><x/></ns:price>`, "price", true},
+	}
+	var all strings.Builder
+	all.WriteString("<f>")
+	for _, c := range cases {
+		rr := NewRecordReader(strings.NewReader("<f>"+c.record+"</f>"),
+			RecordOptions{Prefilter: NewPrefilter([]string{c.label})})
+		// One record: delivered when kept, else skipped straight to EOF.
+		_, err := rr.Read(nil)
+		if kept := err == nil; kept != c.keep || (!kept && err != io.EOF) {
+			t.Errorf("%s, label %q: kept = %v (err %v), want %v", c.record, c.label, kept, err, c.keep)
+		}
+		all.WriteString(c.record)
+	}
+	all.WriteString("</f>")
+	for _, l := range []string{"price", "b:price", ":price", "Price"} {
+		runSplitDiff(t, all.String(), RecordOptions{}, []string{l})
+	}
+}
+
+// hedgeHasLabel reports whether some element of the hedge is named label.
 func hedgeHasLabel(h hedge.Hedge, label string) bool {
-	var walk func(n *hedge.Node) bool
-	walk = func(n *hedge.Node) bool {
-		if n.Kind == hedge.Elem && n.Name == label {
-			return true
-		}
-		for _, c := range n.Children {
-			if walk(c) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, n := range h {
-		if walk(n) {
-			return true
-		}
-	}
-	return false
+	return groupVerdict(h, [][]string{{label}})[0]
 }
 
 func TestPrefilterSkipsNonMatching(t *testing.T) {
@@ -195,15 +220,16 @@ func TestPrefilterNamespacePrefix(t *testing.T) {
 	}
 }
 
-func TestPrefilterDecoysPreventSkipOnly(t *testing.T) {
+func TestPrefilterDecoysSkipped(t *testing.T) {
 	// The label appears only in a comment, a CDATA section, and an attribute
-	// value: false positives that must prevent the skip (delivering the
-	// record) — never the other way around.
+	// value. None of the three records holds a price element, so the exact
+	// rule skips all three along with the clean record.
 	input := `<feed>` +
 		`<e><!-- <price/> --><x/></e>` +
 		`<e><![CDATA[<price/>]]></e>` +
 		`<e><x a="<price/>"/></e>` +
 		`<e><y/></e>` +
+		`<e><price/></e>` +
 		`</feed>`
 	rr := NewRecordReader(strings.NewReader(input),
 		RecordOptions{Prefilter: NewPrefilter([]string{"price"})})
@@ -218,14 +244,13 @@ func TestPrefilterDecoysPreventSkipOnly(t *testing.T) {
 		}
 		idx = append(idx, rec.Index)
 	}
-	// Records 0-2 carry decoy occurrences (delivered, conservatively);
-	// record 3 is clean of the label and must be skipped.
-	if len(idx) != 3 || idx[0] != 0 || idx[1] != 1 || idx[2] != 2 {
-		t.Fatalf("delivered indices = %v, want [0 1 2]", idx)
+	if len(idx) != 1 || idx[0] != 4 {
+		t.Fatalf("delivered indices = %v, want [4]", idx)
 	}
-	if rr.Prefiltered() != 1 {
-		t.Fatalf("Prefiltered() = %d, want 1", rr.Prefiltered())
+	if rr.Prefiltered() != 4 {
+		t.Fatalf("Prefiltered() = %d, want 4", rr.Prefiltered())
 	}
+	runSplitDiff(t, input, RecordOptions{}, []string{"price"})
 }
 
 func TestPrefilterInvalidEntityParsesNormally(t *testing.T) {
@@ -414,12 +439,14 @@ func TestPrefilterResyncAfterSkip(t *testing.T) {
 	}
 }
 
-// runSplitDiff drains the same input through an unfiltered and a filtered
-// reader and checks the differential contract: the filtered reader delivers
-// a subset of the unfiltered records (identical index, path, and hedge),
-// every dropped record provably lacks a required label, every failure and
-// the terminal outcome agree exactly, and both consume the whole input.
-func runSplitDiff(t *testing.T, input string, opts RecordOptions, labels []string) {
+// runSplitDiff drains the same input through an unfiltered reader and one
+// filtered by the requirement groups and checks the differential contract: the
+// filtered reader delivers a subset of the unfiltered records (identical
+// index, path, and hedge); every dropped record's element names satisfy no
+// group; every delivered record's Hint is HintAll (the skim aborted) or
+// exactly the per-group verdict its element names give; every failure and
+// the terminal outcome agree exactly; and both consume the whole input.
+func runSplitDiff(t *testing.T, input string, opts RecordOptions, groups ...[]string) {
 	t.Helper()
 	type outcome struct {
 		recs  []Record
@@ -456,8 +483,9 @@ func runSplitDiff(t *testing.T, input string, opts RecordOptions, labels []strin
 		out.pre = rr.Prefiltered()
 		return out
 	}
+	pf := NewMultiPrefilter(groups)
 	plain := run(nil)
-	filt := run(NewPrefilter(labels))
+	filt := run(pf)
 
 	if plain.term != filt.term {
 		t.Fatalf("terminal outcomes diverge:\nplain: %q\nfilt:  %q", plain.term, filt.term)
@@ -485,6 +513,16 @@ func runSplitDiff(t *testing.T, input string, opts RecordOptions, labels []strin
 			t.Fatalf("record %d diverges: plain %s %s, filtered %s %s",
 				r.Index, p.Path, p.Hedge, r.Path, r.Hedge)
 		}
+		if pf == nil || (r.Hint.W0 == HintAll.W0 && r.Hint.More == nil) {
+			continue
+		}
+		want := groupVerdict(r.Hedge, groups)
+		for g := range groups {
+			if r.Hint.Allows(g) != want[g] {
+				t.Fatalf("record %d: Hint.Allows(%d) = %v, but its element names give %v (groups %q): %s",
+					r.Index, g, r.Hint.Allows(g), want[g], groups, r.Hedge)
+			}
+		}
 	}
 	dropped := 0
 	for _, p := range plain.recs {
@@ -492,16 +530,11 @@ func runSplitDiff(t *testing.T, input string, opts RecordOptions, labels []strin
 			continue
 		}
 		dropped++
-		missing := false
-		for _, l := range labels {
-			if !hedgeHasLabel(p.Hedge, l) {
-				missing = true
-				break
+		for g, ok := range groupVerdict(p.Hedge, groups) {
+			if ok {
+				t.Fatalf("record %d was skipped but satisfies group %d %q: %s",
+					p.Index, g, groups[g], p.Hedge)
 			}
-		}
-		if !missing {
-			t.Fatalf("record %d was skipped but contains every required label %v: %s",
-				p.Index, labels, p.Hedge)
 		}
 	}
 	if int64(dropped) != filt.pre {
@@ -512,6 +545,38 @@ func runSplitDiff(t *testing.T, input string, opts RecordOptions, labels []strin
 	}
 }
 
+// groupVerdict is the prefilter verdict recomputed from a parsed record:
+// group g is satisfied when each of its non-empty labels is the name of
+// some element in the hedge.
+func groupVerdict(h hedge.Hedge, groups [][]string) []bool {
+	names := map[string]bool{}
+	var walk func(n *hedge.Node)
+	walk = func(n *hedge.Node) {
+		if n.Kind == hedge.Elem {
+			names[n.Name] = true
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	for _, n := range h {
+		walk(n)
+	}
+	out := make([]bool, len(groups))
+	for g, labels := range groups {
+		out[g] = true
+		for _, l := range labels {
+			if l != "" && !names[l] {
+				out[g] = false
+			}
+		}
+	}
+	return out
+}
+
+// TestPrefilterDifferentialCorpus runs the differential harness over
+// inputs that pin the skim's agreement with the tokenizer: structure,
+// limits, recovery, and the line numbers of errors after skipped records.
 func TestPrefilterDifferentialCorpus(t *testing.T) {
 	labels := []string{"price"}
 	corpus := []struct {
@@ -536,6 +601,20 @@ func TestPrefilterDifferentialCorpus(t *testing.T) {
 		{"pi-doctype", `<?xml version="1.0"?><f><e><?pi data?><x/></e><e><price/></e></f>`, RecordOptions{}},
 		{"text-between", `<db>text<item><x/></item>more<item><price/></item></db>`, RecordOptions{Split: "item"}},
 		{"nested-split", `<db><item><item><price/></item></item></db>`, RecordOptions{Split: "item"}},
+		// A root closed by another name must fail as unfiltered, not skip.
+		{"root-close-case", `<f><e><x/></E><e><price/></e></f>`, RecordOptions{}},
+		{"root-close-other", `<A><A></B>`, RecordOptions{}},
+		// Whitespace-only runs are text nodes under KeepWhitespace, so
+		// they count toward MaxNodes.
+		{"keep-ws-limit", "<f><e> <a/> <b/> </e><e><price/></e></f>", RecordOptions{KeepWhitespace: true, MaxNodes: 4}},
+		// A lone CR counts as a line in text and CDATA only; errors after
+		// a skipped record must report the unfiltered line.
+		{"cr-comment", "<f><e><!-- a\rb --><x/></e><e><x/></e><e><a></b></e></f>", RecordOptions{Split: "e"}},
+		{"cr-tag-space", "<f><e><x\ra='1'/></e><e><a></b></e></f>", RecordOptions{Split: "e"}},
+		{"cr-attr-value", "<f><e><x a='1\r2'/></e><e><a></b></e></f>", RecordOptions{Split: "e"}},
+		{"cr-pi", "<f><e><?pi a\rb?><x/></e><e><a></b></e></f>", RecordOptions{Split: "e"}},
+		{"cr-text", "<f><e>a\rb\r\nc\r</e><e><a></b></e></f>", RecordOptions{Split: "e"}},
+		{"cr-cdata", "<f><e><![CDATA[a\rb\r\nc\r]]></e><e><a></b></e></f>", RecordOptions{Split: "e"}},
 	}
 	for _, c := range corpus {
 		c := c
@@ -546,9 +625,11 @@ func TestPrefilterDifferentialCorpus(t *testing.T) {
 }
 
 // FuzzPrefilterDifferential holds the prefiltered reader to the unfiltered
-// reader's observable behavior on arbitrary input: identical failures and
-// terminal outcome, identical surviving records, and only label-free
-// records skipped.
+// reader's observable behavior on arbitrary input, with and without
+// KeepWhitespace: identical failures and terminal outcome, identical
+// surviving records carrying exact verdicts, and only records that satisfy
+// no group skipped. groupsCSV separates requirement groups with ';' and a
+// group's labels with ','.
 func FuzzPrefilterDifferential(f *testing.F) {
 	f.Add(`<f><e><price/></e><e><x/></e></f>`, "", "price", 0, 0)
 	f.Add(`<f><r><a/></r><r><a></b></r><r><price/></r></f>`, "r", "price", 0, 0)
@@ -556,24 +637,36 @@ func FuzzPrefilterDifferential(f *testing.F) {
 	f.Add(`<f><e><a/><b/><c/></e></f>`, "", "price", 3, 0)
 	f.Add(`<f><e><!--<price/>--></e></f>`, "", "price", 0, 4)
 	f.Add(`<f><e><ns:price a="x"/></e><e/></f>`, "", "price,name", 0, 0)
-	f.Fuzz(func(t *testing.T, xmlStr, split, labelsCSV string, maxNodes, maxDepth int) {
+	f.Add(`<f><e><x/></E><e><price/></e></f>`, "", "price", 0, 0)
+	f.Add(`<A><A></B>`, "", "0", 0, 0)
+	f.Add("<f><e><!-- a\rb --><x/></e><e><x/></e><e><a></b></e></f>", "e", "price", 0, 0)
+	f.Add(`<f><e><figure/><t1/></e><e><t2/></e><e><figure/></e></f>`, "", "figure,t1;figure,t2;;t2", 0, 0)
+	f.Fuzz(func(t *testing.T, xmlStr, split, groupsCSV string, maxNodes, maxDepth int) {
 		if maxNodes < 0 || maxNodes > 1<<12 || maxDepth < 0 || maxDepth > 1<<8 {
 			return
 		}
-		if len(xmlStr) > 1<<16 || len(split) > 32 || len(labelsCSV) > 64 {
+		if len(xmlStr) > 1<<16 || len(split) > 32 || len(groupsCSV) > 64 {
 			return
 		}
-		var labels []string
-		for _, l := range strings.Split(labelsCSV, ",") {
-			if l != "" {
-				labels = append(labels, l)
+		var groups [][]string
+		labels := 0
+		for _, g := range strings.Split(groupsCSV, ";") {
+			var group []string
+			for _, l := range strings.Split(g, ",") {
+				if l != "" {
+					group = append(group, l)
+					labels++
+				}
 			}
+			groups = append(groups, group)
 		}
-		if len(labels) == 0 {
+		if labels == 0 {
 			return
 		}
-		opts := RecordOptions{Split: split, MaxNodes: maxNodes, MaxDepth: maxDepth}
-		runSplitDiff(t, xmlStr, opts, labels)
+		for _, keepWS := range []bool{false, true} {
+			opts := RecordOptions{Split: split, MaxNodes: maxNodes, MaxDepth: maxDepth, KeepWhitespace: keepWS}
+			runSplitDiff(t, xmlStr, opts, groups...)
+		}
 	})
 }
 
@@ -706,5 +799,34 @@ func TestPrefilterWideGroupVerdicts(t *testing.T) {
 	}
 	if rr.Prefiltered() != int64(len(keep)) {
 		t.Errorf("Prefiltered() = %d, want %d decoys skipped", rr.Prefiltered(), len(keep))
+	}
+}
+
+// TestPrefilterSkipAllocsFlat pins that a skipped record costs no
+// allocation: draining a reader whose multi-group prefilter skips every
+// record allocates exactly the same for N records as for 4N. The fixed
+// cost is the reader itself and the prefilter's scratch.
+func TestPrefilterSkipAllocsFlat(t *testing.T) {
+	pf := NewMultiPrefilter(topicGroups(8))
+	drainAllocs := func(n int) float64 {
+		input := benchSparseFeed(n)
+		var a Arena
+		return testing.AllocsPerRun(5, func() {
+			rr := NewRecordReader(strings.NewReader(input), RecordOptions{Split: "doc", Prefilter: pf})
+			for {
+				a.Reset()
+				if _, err := rr.Read(&a); err != nil {
+					break
+				}
+			}
+			if rr.Prefiltered() != int64(n) {
+				t.Fatalf("skipped %d of %d records", rr.Prefiltered(), n)
+			}
+		})
+	}
+	for _, n := range []int{50, 100} {
+		if small, large := drainAllocs(n), drainAllocs(4*n); small != large {
+			t.Errorf("draining %d skipped records allocates %v, %d allocates %v; want equal", n, small, 4*n, large)
+		}
 	}
 }

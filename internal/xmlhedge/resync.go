@@ -11,194 +11,138 @@ package xmlhedge
 // attribute quoting, so a delimiter-looking sequence inside those is not
 // mistaken for a record) and start a fresh tokenizer at that offset.
 //
-// tailReader buffers the live input and remembers the last tailWindow
-// consumed bytes, so the scanner and the tokenizer can be re-anchored at
-// any recent absolute offset without the underlying reader being
-// seekable: replayFrom serves the byte-at-a-time scanner, replaySourceFrom
-// a degraded-mode tokenizer placed on a scan hit.
+// tailReader is the one read buffer every byte path shares. Besides the
+// unconsumed bytes it keeps the last tailWindow consumed ones in place,
+// just before the read position: compaction never drops them, so the
+// scanner and the tokenizer can be re-anchored at any recent absolute
+// offset without the underlying reader being seekable. rewind moves the
+// read position back onto them, and both simply read on from there.
 
 import (
 	"fmt"
 	"io"
 )
 
-// tailWindow is how far back replayFrom can re-anchor. It bounds the
-// longest start-tag prefix the scanner consumes before a hit and must
-// replay to the tokenizer: `<` + split name + delimiter.
+// tailWindow is how far back rewind can re-anchor. It bounds the longest
+// start-tag prefix the scanner consumes before a hit and must hand back to
+// the tokenizer: `<` + split name + delimiter.
 const tailWindow = 256
 
-// tailReader is the splitter's byteSource over the live input: it buffers
-// reads from src and remembers the last tailWindow bytes consumed. off is
-// the absolute offset of the next byte to consume — equal to the total
-// bytes consumed so far.
+// tailReader buffers reads from src in buf, unconsumed bytes in buf[r:w],
+// for the tokenizer, the prefilter skim, and the resynchronization
+// scanner alike. off is the absolute offset of the next byte to consume.
+// Everything in buf[:r] was consumed already: compaction keeps the last
+// tailWindow consumed bytes there, so rewind can re-deliver them.
 type tailReader struct {
 	src  io.Reader
 	buf  []byte
 	r, w int
 	rerr error // sticky read error from src, delivered after the buffer drains
 	off  int64
-	tail [tailWindow]byte
 }
 
 func newTailReader(r io.Reader) *tailReader {
 	return &tailReader{src: r, buf: make([]byte, 4096)}
 }
 
-// peek returns the buffered unconsumed bytes, refilling from src when the
-// buffer is empty (byteSource for the tokenizer).
+// compact moves the unconsumed bytes and the replay tail before them to
+// the front of buf, freeing room for reads at the end.
+func (t *tailReader) compact() {
+	keep := min(t.r, tailWindow)
+	n := copy(t.buf, t.buf[t.r-keep:t.w])
+	t.r, t.w = keep, n
+}
+
+// peek returns a non-empty slice of the buffered unconsumed bytes,
+// reading more input when none are buffered. On failure the slice is empty
+// and the error is sticky.
 func (t *tailReader) peek() ([]byte, error) {
-	if t.r == t.w {
-		if t.rerr != nil {
-			return nil, t.rerr
-		}
-		t.r, t.w = 0, 0
-		for t.w == 0 && t.rerr == nil {
-			n, err := t.src.Read(t.buf)
-			t.w, t.rerr = n, err
-		}
-		if t.w == 0 {
-			return nil, t.rerr
-		}
+	if t.r == t.w && !t.refill() {
+		return nil, t.rerr
 	}
 	return t.buf[t.r:t.w], nil
 }
 
-// consume advances past n peeked bytes, remembering them in the tail
-// window. Wraparound copies never hand out a stale window: later copies of
-// an over-long run overwrite earlier ones in ring order.
-func (t *tailReader) consume(n int) {
-	src := t.buf[t.r : t.r+n]
-	t.r += n
-	for len(src) > 0 {
-		c := copy(t.tail[t.off%tailWindow:], src)
-		t.off += int64(c)
-		src = src[c:]
+// refill is peek's slow path: compact, then read until a byte arrives or
+// the source fails. It reports whether any byte is buffered.
+func (t *tailReader) refill() bool {
+	if t.rerr != nil {
+		return false
 	}
+	t.compact()
+	for t.w == t.r && t.rerr == nil {
+		n, err := t.src.Read(t.buf[t.w:])
+		t.w, t.rerr = t.w+n, err
+	}
+	return t.w > t.r
 }
 
-// offset is the absolute offset of the next unconsumed byte.
-func (t *tailReader) offset() int64 { return t.off }
+// fillTo tries to ensure at least n unconsumed bytes are buffered, reading
+// more input and growing the buffer as needed, and returns the buffered
+// window (shorter than n when the source is exhausted or erroring). It
+// consumes nothing: the tokenizer resumes exactly where it was, and a
+// relative index into the returned window stays valid across further fills
+// (compaction and growth preserve the unconsumed bytes, though they may
+// move them: callers re-slice the window after every fill).
+func (t *tailReader) fillTo(n int) []byte {
+	for t.w-t.r < n && t.rerr == nil {
+		if t.w == len(t.buf) {
+			if t.r > tailWindow {
+				t.compact()
+			} else {
+				nb := make([]byte, 2*len(t.buf))
+				copy(nb, t.buf[:t.w])
+				t.buf = nb
+			}
+		}
+		m, err := t.src.Read(t.buf[t.w:])
+		t.w += m
+		if err != nil {
+			t.rerr = err
+		}
+	}
+	return t.buf[t.r:t.w]
+}
 
-// ReadByte implements io.ByteReader for the raw resynchronization scanner;
-// it routes through peek/consume so the tail window stays consistent.
+// consume advances past n peeked bytes. They stay in buf, where rewind
+// can reach them, until a compaction moves the read position on.
+func (t *tailReader) consume(n int) {
+	t.r += n
+	t.off += int64(n)
+}
+
+// ReadByte implements io.ByteReader for the raw resynchronization scanner.
 func (t *tailReader) ReadByte() (byte, error) {
 	w, err := t.peek()
 	if err != nil {
 		return 0, err
 	}
-	b := w[0]
 	t.consume(1)
-	return b, nil
+	return w[0], nil
 }
 
-// Read implements io.Reader for completeness; it routes through ReadByte
-// so the tail window stays consistent however the reader is driven.
-func (t *tailReader) Read(p []byte) (int, error) {
-	for i := range p {
-		b, err := t.ReadByte()
-		if err != nil {
-			if i > 0 {
-				return i, nil
-			}
-			return 0, err
-		}
-		p[i] = b
+// rewind moves the read position back to absolute offset abs, so the
+// consumed bytes from abs on are read again before the live input. abs
+// must lie within the tail window.
+func (t *tailReader) rewind(abs int64) error {
+	back := t.off - abs
+	if back < 0 || back > tailWindow || back > int64(t.r) {
+		return fmt.Errorf("xmlhedge: resync offset %d outside the replay window ending at %d", abs, t.off)
 	}
-	return len(p), nil
+	t.r -= int(back)
+	t.off = abs
+	return nil
 }
-
-// replayFrom returns a reader that re-delivers the remembered bytes from
-// absolute offset abs and then continues with the live stream. abs must
-// lie within the tail window.
-func (t *tailReader) replayFrom(abs int64) (*replayReader, error) {
-	if abs > t.off || t.off-abs > tailWindow {
-		return nil, fmt.Errorf("xmlhedge: resync offset %d outside the replay window ending at %d", abs, t.off)
-	}
-	pend := make([]byte, 0, t.off-abs)
-	for o := abs; o < t.off; o++ {
-		pend = append(pend, t.tail[o%tailWindow])
-	}
-	return &replayReader{t: t, pend: pend}, nil
-}
-
-// replayReader serves a copied slice of remembered bytes, then the live
-// tailReader. The pending bytes already sit in the tail window at their
-// original offsets, so serving them does not advance t.off — a later
-// replayFrom during or after the replay still sees consistent offsets.
-type replayReader struct {
-	t    *tailReader
-	pend []byte
-}
-
-func (r *replayReader) ReadByte() (byte, error) {
-	if len(r.pend) > 0 {
-		b := r.pend[0]
-		r.pend = r.pend[1:]
-		return b, nil
-	}
-	return r.t.ReadByte()
-}
-
-func (r *replayReader) Read(p []byte) (int, error) {
-	for i := range p {
-		b, err := r.ReadByte()
-		if err != nil {
-			if i > 0 {
-				return i, nil
-			}
-			return 0, err
-		}
-		p[i] = b
-	}
-	return len(p), nil
-}
-
-// replaySourceFrom is replayFrom as a byteSource, re-anchoring a tokenizer
-// at absolute offset abs for degraded-mode per-record parsing.
-func (t *tailReader) replaySourceFrom(abs int64) (*replaySource, error) {
-	rep, err := t.replayFrom(abs)
-	if err != nil {
-		return nil, err
-	}
-	return &replaySource{t: t, pend: rep.pend}, nil
-}
-
-// replaySource serves remembered tail bytes, then the live tailReader.
-// Like replayReader, consuming the pending bytes does not advance t.off —
-// they already sit in the tail window at their original offsets — so the
-// absolute offset is t.off minus what remains pending.
-type replaySource struct {
-	t    *tailReader
-	pend []byte
-}
-
-func (r *replaySource) peek() ([]byte, error) {
-	if len(r.pend) > 0 {
-		return r.pend, nil
-	}
-	return r.t.peek()
-}
-
-func (r *replaySource) consume(n int) {
-	if len(r.pend) > 0 {
-		r.pend = r.pend[n:]
-		return
-	}
-	r.t.consume(n)
-}
-
-func (r *replaySource) offset() int64 { return r.t.off - int64(len(r.pend)) }
 
 // scanForRecord raw-scans from rr.scanPos for the next plausible record
 // start (`<` + split name + delimiter) and returns its absolute offset.
 // The scan position advances past everything inspected, so a failed scan
 // never re-inspects bytes. Returns io.EOF at a clean end of input.
 func (rr *RecordReader) scanForRecord() (int64, error) {
-	rep, err := rr.tr.replayFrom(rr.scanPos)
-	if err != nil {
+	if err := rr.tr.rewind(rr.scanPos); err != nil {
 		return 0, err
 	}
-	sc := &rawScanner{r: rep, pos: rr.scanPos, rr: rr}
+	sc := &rawScanner{r: rr.tr, pos: rr.scanPos, rr: rr}
 	pos, err := sc.findRecordStart(rr.opts.Split)
 	rr.scanPos = sc.pos
 	if err != nil {
@@ -391,14 +335,21 @@ func (s *rawScanner) skipUntil(pat string) error {
 // isNameStart reports whether b can begin an XML name. Multi-byte UTF-8
 // sequences (b >= 0x80) are accepted wholesale; the decoder re-validates
 // whatever the scanner proposes.
-func isNameStart(b byte) bool {
-	return b == '_' || b == ':' || (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z') || b >= 0x80
-}
+func isNameStart(b byte) bool { return nameStartTab[b] }
 
 // isNameByte reports whether b can appear inside an XML name.
-func isNameByte(b byte) bool {
-	return isNameStart(b) || b == '-' || b == '.' || (b >= '0' && b <= '9')
-}
+func isNameByte(b byte) bool { return nameByteTab[b] }
+
+// nameStartTab and nameByteTab are isNameStart and isNameByte as tables:
+// one load per byte on the scanners' hot loops.
+var nameStartTab, nameByteTab = func() (start, inside [256]bool) {
+	for i := range start {
+		b := byte(i)
+		start[i] = b == '_' || b == ':' || (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z') || b >= 0x80
+		inside[i] = start[i] || b == '-' || b == '.' || (b >= '0' && b <= '9')
+	}
+	return start, inside
+}()
 
 // isXMLSpace reports whether b is XML whitespace.
 func isXMLSpace(b byte) bool {

@@ -40,12 +40,13 @@ type RecordOptions struct {
 	// KeepWhitespace retains whitespace-only text nodes (see Options).
 	KeepWhitespace bool
 	// Prefilter, when non-nil, is checked against each record's raw bytes
-	// before parsing: a record that cannot contain every required label is
-	// skipped whole — no parse, no nodes, one bulk consume — and burns its
-	// index and sibling slot like a failed record. The skim is conservative
-	// (see prefilter.go): any record it is unsure about parses normally,
-	// byte-identically to an unfiltered run. Prefiltering is suspended in
-	// degraded (post-resync) mode.
+	// before parsing: a record whose element names satisfy none of its
+	// requirement groups is skipped whole — no parse, no nodes, one bulk
+	// consume — and burns its index and sibling slot like a failed record.
+	// The skim only skips what it has fully validated (see prefilter.go):
+	// any record it is unsure about parses normally, byte-identically to an
+	// unfiltered run. Prefiltering is suspended in degraded (post-resync)
+	// mode.
 	Prefilter *Prefilter
 	// Ctx, when non-nil, is polled every few hundred decoder tokens, so a
 	// cancellation interrupts the splitter even in the middle of a huge
@@ -271,8 +272,9 @@ type Record struct {
 	// alike.
 	Hedge hedge.Hedge
 	// Hint is the prefilter's per-group verdict for this record: bit i of
-	// the word-slice bitset set means requirement group i may match (see
-	// Prefilter.verdict, Hint.Allows). When no verdict was computed —
+	// the word-slice bitset is set exactly when every label requirement
+	// group i names is an element name of the record, so the group may
+	// match (see Prefilter.verdict, Hint.Allows). When no verdict was computed —
 	// prefilter off, skim aborted, degraded mode — it is HintAll, so
 	// evaluators must treat a set bit as "evaluate" and only a clear bit
 	// as proof of non-matching.
@@ -655,7 +657,7 @@ func (rr *RecordReader) failOuter(err error) error {
 }
 
 // readDegraded locates the next record by raw-scanning for the split name
-// and parses it with a per-record tokenizer over a tail-window replay.
+// and parses it with a per-record tokenizer rewound to the hit.
 func (rr *RecordReader) readDegraded(a *Arena) (Record, error) {
 	pos, err := rr.scanForRecord()
 	if err != nil {
@@ -664,14 +666,13 @@ func (rr *RecordReader) readDegraded(a *Arena) (Record, error) {
 	if s := rr.opts.Events; s.Enabled() {
 		s.Emit("resync_hit", fmt.Sprintf("record start candidate at byte %d", pos))
 	}
-	src, err := rr.tr.replaySourceFrom(pos)
-	if err != nil {
+	if err := rr.tr.rewind(pos); err != nil {
 		return Record{}, err
 	}
 	if rr.degTk == nil {
-		rr.degTk = newTokenizer(src)
+		rr.degTk = newTokenizer(rr.tr)
 	} else {
-		rr.degTk.reset(src)
+		rr.degTk.reset()
 	}
 	rr.tk = rr.degTk
 	if err := rr.tk.next(); err != nil {

@@ -31,19 +31,9 @@ import (
 	"unicode/utf8"
 )
 
-// byteSource is bulk access to an input stream: peek at buffered bytes,
-// consume what was parsed. Implemented by tailReader (live input) and
-// replaySource (degraded-mode re-reads from the tail window).
-type byteSource interface {
-	// peek returns a non-empty slice of unconsumed bytes, reading more
-	// input when none are buffered. On failure the slice is empty and the
-	// error is sticky.
-	peek() ([]byte, error)
-	// consume advances past the first n peeked bytes.
-	consume(n int)
-	// offset is the absolute input offset of the next unconsumed byte.
-	offset() int64
-}
+// newline is what bulk runs count lines by: the tokenizer counts each
+// '\n' it reads, and each '\r' in text and CDATA that no '\n' follows.
+var newline = []byte{'\n'}
 
 type tokKind uint8
 
@@ -57,7 +47,7 @@ const (
 // The name and text slices returned with a token alias internal buffers
 // and are valid only until the following next call.
 type tokenizer struct {
-	src  byteSource
+	src  *tailReader
 	line int // 1-based, for xml.SyntaxError compatibility
 
 	kind tokKind
@@ -74,13 +64,13 @@ type tokenizer struct {
 	scratch []byte // token assembly: names, decoded text
 }
 
-func newTokenizer(src byteSource) *tokenizer {
+func newTokenizer(src *tailReader) *tokenizer {
 	return &tokenizer{src: src, line: 1}
 }
 
-// reset rewires the tokenizer onto a new source, keeping its buffers.
-func (t *tokenizer) reset(src byteSource) {
-	t.src = src
+// reset restarts the tokenizer at its source's read position, keeping its
+// buffers.
+func (t *tokenizer) reset() {
 	t.line = 1
 	t.kind = 0
 	t.name, t.text = nil, nil
@@ -92,7 +82,7 @@ func (t *tokenizer) reset(src byteSource) {
 
 // off is the absolute input offset of the next unconsumed byte; between
 // next calls it is exactly the end of the last token.
-func (t *tokenizer) off() int64 { return t.src.offset() }
+func (t *tokenizer) off() int64 { return t.src.off }
 
 func (t *tokenizer) syntax(msg string) error {
 	return &xml.SyntaxError{Msg: msg, Line: t.line}
@@ -192,22 +182,18 @@ func (t *tokenizer) gatherText() error {
 		if err != nil {
 			return err
 		}
-		// Bulk-copy the run up to the next byte needing attention.
-		n := 0
-		for n < len(w) {
-			c := w[n]
-			if c == '<' || c == '&' || c == '\r' {
-				break
-			}
-			if c == '\n' {
-				t.line++
-			}
-			n++
+		if w[0] == '<' {
+			return nil
 		}
-		if n > 0 {
+		// Bulk-copy the run up to the next byte needing attention.
+		if n := textEnd(w); n > 0 {
+			t.line += bytes.Count(w[:n], newline)
 			t.scratch = append(t.scratch, w[:n]...)
 			t.src.consume(n)
-			continue
+			if n == len(w) {
+				continue
+			}
+			w = w[n:]
 		}
 		switch w[0] {
 		case '<':
@@ -225,6 +211,76 @@ func (t *tokenizer) gatherText() error {
 			}
 			t.scratch = append(t.scratch, '\n')
 		}
+	}
+}
+
+// textEnd returns the index of the first '<', '&' or '\r' in w, or len(w).
+func textEnd(w []byte) int {
+	n := len(w)
+	if j := bytes.IndexByte(w, '<'); j >= 0 {
+		n = j
+	}
+	if j := bytes.IndexByte(w[:n], '&'); j >= 0 {
+		n = j
+	}
+	if j := bytes.IndexByte(w[:n], '\r'); j >= 0 {
+		n = j
+	}
+	return n
+}
+
+// nameRun consumes the rest of an XML name, appending it to scratch when
+// keep is set, then consumes and returns the byte after it.
+func (t *tokenizer) nameRun(keep bool) (byte, error) {
+	for {
+		w, err := t.src.peek()
+		if err != nil {
+			if err == io.EOF {
+				return 0, t.syntax("unexpected EOF")
+			}
+			return 0, err
+		}
+		n := 0
+		for n < len(w) && isNameByte(w[n]) {
+			n++
+		}
+		if keep {
+			t.scratch = append(t.scratch, w[:n]...)
+		}
+		if n == len(w) {
+			t.src.consume(n)
+			continue
+		}
+		d := w[n]
+		if d == '\n' {
+			t.line++
+		}
+		t.src.consume(n + 1)
+		return d, nil
+	}
+}
+
+// skipPast consumes input through the next c, counting the lines it
+// passes; c itself must not be '\n'.
+func (t *tokenizer) skipPast(c byte) error {
+	for {
+		w, err := t.src.peek()
+		if err != nil {
+			if err == io.EOF {
+				return t.syntax("unexpected EOF")
+			}
+			return err
+		}
+		n := bytes.IndexByte(w, c)
+		if n < 0 {
+			n = len(w)
+		}
+		t.line += bytes.Count(w[:n], newline)
+		if n < len(w) {
+			t.src.consume(n + 1)
+			return nil
+		}
+		t.src.consume(n)
 	}
 }
 
@@ -440,26 +496,13 @@ func (t *tokenizer) skipDirective(b byte) error {
 // matching end token.
 func (t *tokenizer) startTag(b byte) error {
 	t.scratch = append(t.scratch[:0], b)
-	colon := -1
-	var d byte
-	for {
-		c, err := t.mustByte()
-		if err != nil {
-			return err
-		}
-		if !isNameByte(c) {
-			d = c
-			break
-		}
-		if c == ':' && colon < 0 {
-			colon = len(t.scratch)
-		}
-		t.scratch = append(t.scratch, c)
+	d, err := t.nameRun(true)
+	if err != nil {
+		return err
 	}
 attrs:
 	for {
 		for isXMLSpace(d) {
-			var err error
 			if d, err = t.mustByte(); err != nil {
 				return err
 			}
@@ -481,18 +524,10 @@ attrs:
 		if !isNameStart(d) {
 			return t.syntax("expected attribute name in element")
 		}
-		for {
-			c, err := t.mustByte()
-			if err != nil {
-				return err
-			}
-			if !isNameByte(c) {
-				d = c
-				break
-			}
+		if d, err = t.nameRun(false); err != nil {
+			return err
 		}
 		for isXMLSpace(d) {
-			var err error
 			if d, err = t.mustByte(); err != nil {
 				return err
 			}
@@ -500,7 +535,6 @@ attrs:
 		if d != '=' {
 			return t.syntax("attribute name without = in element")
 		}
-		var err error
 		if d, err = t.mustByte(); err != nil {
 			return err
 		}
@@ -512,15 +546,8 @@ attrs:
 		if d != '\'' && d != '"' {
 			return t.syntax("unquoted or missing attribute value in element")
 		}
-		q := d
-		for {
-			c, err := t.mustByte()
-			if err != nil {
-				return err
-			}
-			if c == q {
-				break
-			}
+		if err = t.skipPast(d); err != nil {
+			return err
 		}
 		if d, err = t.mustByte(); err != nil {
 			return err
@@ -529,8 +556,21 @@ attrs:
 	t.openOff = append(t.openOff, len(t.openBuf))
 	t.openBuf = append(t.openBuf, t.scratch...)
 	t.kind = tokStart
-	t.name = t.scratch[colon+1:] // colon == -1 ⇒ the whole name
+	t.name = localName(t.scratch)
 	return nil
+}
+
+// localName is an element's name as records hold it: the raw tag name with
+// any namespace prefix stripped at the first colon after its first byte.
+// The tokenizer and the prefilter skim both take names through it, so a
+// label the skim finds is exactly a name the parse produces.
+func localName(raw []byte) []byte {
+	for i := 1; i < len(raw); i++ {
+		if raw[i] == ':' {
+			return raw[i+1:]
+		}
+	}
+	return raw
 }
 
 // endTag parses "</name>" (the "</" already consumed), matching it against
@@ -545,17 +585,9 @@ func (t *tokenizer) endTag() error {
 		return t.syntax("expected element name after </")
 	}
 	t.scratch = append(t.scratch[:0], b)
-	var d byte
-	for {
-		c, err := t.mustByte()
-		if err != nil {
-			return err
-		}
-		if !isNameByte(c) {
-			d = c
-			break
-		}
-		t.scratch = append(t.scratch, c)
+	d, err := t.nameRun(true)
+	if err != nil {
+		return err
 	}
 	for isXMLSpace(d) {
 		if d, err = t.mustByte(); err != nil {
@@ -568,14 +600,16 @@ func (t *tokenizer) endTag() error {
 	if len(t.openOff) == 0 {
 		return t.syntax(fmt.Sprintf("unexpected end element </%s>", t.scratch))
 	}
-	top := t.openBuf[t.openOff[len(t.openOff)-1]:]
-	if !bytes.Equal(top, t.scratch) {
+	if top := t.top(); !bytes.Equal(top, t.scratch) {
 		return t.syntax(fmt.Sprintf("element <%s> closed by </%s>", top, t.scratch))
 	}
 	t.pop()
 	t.kind = tokEnd
 	return nil
 }
+
+// top is the raw name of the innermost open element.
+func (t *tokenizer) top() []byte { return t.openBuf[t.openOff[len(t.openOff)-1]:] }
 
 func (t *tokenizer) pop() {
 	n := len(t.openOff) - 1
