@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check soak fuzz bench bench-json trace-overhead telemetry-overhead bench-gate bench-history
+.PHONY: all build test race vet fmt check soak fuzz bench bench-json trace-overhead telemetry-overhead bench-gate bench-history loc
 
 all: check
 
@@ -100,3 +100,13 @@ bench-gate:
 # the file alongside the change).
 bench-history:
 	$(GO) run ./cmd/xpebench -record-history BENCH_history.ndjson
+
+# loc prints the non-test line count of every package in the module, one
+# `<lines> <import path>` line each: only GoFiles are counted, so _test.go
+# files stay out, and so does perfbench/ (its own module). PRs report the
+# change per package they touch. Not part of check.
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | \
+	while read -r pkg dir files; do \
+		echo "$$(cd "$$dir" && cat /dev/null $$files | wc -l) $$pkg"; \
+	done

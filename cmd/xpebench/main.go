@@ -13,9 +13,9 @@
 //
 // With -bench-json the experiment tables are skipped; instead the
 // perf-regression workloads run (in-memory select with and without a
-// metrics sink, streaming with 1/4/8/16 workers, bulk select, and the
-// engine's compiled-query cache: cold compile vs cache-hit recompile vs
-// the unchanged-generation fast path) and the report — ns/op, allocs/op,
+// metrics sink, streaming with 1/4/8/16 workers, and the engine's
+// compiled-query cache: cold compile vs cache-hit recompile vs the
+// unchanged-generation fast path) and the report — ns/op, allocs/op,
 // nodes/sec, metrics overhead, cache-hit speedup, fast-path overhead,
 // scaling efficiency per worker count, peak RSS — is written as JSON to
 // -out (default stdout).

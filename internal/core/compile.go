@@ -735,13 +735,13 @@ func (c *CompiledPHR) MatchesPointed(u hedge.Hedge) (bool, error) {
 // candidate-set symbols. Theorem 4's N is this automaton completed over the
 // finite alphabet (Q*/≡)×Σ×(Q*/≡); laziness keeps Algorithm 1 linear with
 // a small constant in practice. Reads take no lock, so one compiled query
-// can serve concurrent evaluations (BulkSelect, the parallel stream): a
-// state's accept bit is fixed when the state is created, and its out-edges
-// are an immutable sorted list behind an atomic pointer, replaced whole
-// when a miss adds an edge. mu serializes the misses only, and the finite
-// candidate alphabet stops them once the automaton is warm. A miss copies
-// the state's edge list, so it costs the state's out-degree: the number of
-// distinct candidate sets seen there so far.
+// can serve concurrent evaluations (concurrent Selects, the parallel
+// stream): a state's accept bit is fixed when the state is created, and
+// its out-edges are an immutable sorted list behind an atomic pointer,
+// replaced whole when a miss adds an edge. mu serializes the misses only,
+// and the finite candidate alphabet stops them once the automaton is warm.
+// A miss copies the state's edge list, so it costs the state's out-degree:
+// the number of distinct candidate sets seen there so far.
 type mirrorDFA struct {
 	rev   *sfa.NFA
 	start *mirrorState

@@ -133,8 +133,8 @@ type CompiledQuery struct {
 // SetMetrics attaches (or, with nil, detaches) an evaluation sink: every
 // Select, SelectEach, and Locate through this query flushes its counters
 // there. The sink must be attached before evaluation begins; concurrent
-// evaluators (BulkSelect workers, streaming records) may share it — all
-// cells are atomic.
+// evaluators (parallel stream workers, concurrent Selects) may share it —
+// all cells are atomic.
 func (cq *CompiledQuery) SetMetrics(m *metrics.Eval) { cq.phr.SetMetrics(m) }
 
 // subChecker decides "subhedge of n ∈ L(e₁)" per node during the first

@@ -34,8 +34,8 @@ type BenchResult struct {
 }
 
 // BenchReport is the layout of BENCH_core.json: the perf-regression
-// baseline for the in-memory, streaming, and bulk evaluation paths, plus
-// the measured cost of attaching a metrics sink.
+// baseline for the in-memory and streaming evaluation paths, plus the
+// measured cost of attaching a metrics sink.
 type BenchReport struct {
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
@@ -185,11 +185,11 @@ func countEach(cq *core.CompiledQuery, doc hedge.Hedge) int {
 func BenchJSON(quick bool) (*BenchReport, error) {
 	minTime := 300 * time.Millisecond
 	memSizes := []int{10000, 100000}
-	streamSize, bulkDocs, bulkSize := 100000, 64, 4000
+	streamSize := 100000
 	if quick {
 		minTime = 40 * time.Millisecond
 		memSizes = []int{10000}
-		streamSize, bulkDocs, bulkSize = 20000, 16, 2000
+		streamSize = 20000
 	}
 	rep := &BenchReport{
 		GoVersion: runtime.Version(),
@@ -253,7 +253,8 @@ func BenchJSON(quick bool) (*BenchReport, error) {
 
 	// Disabled-tracing overhead: the pipeline's per-record trace path when
 	// nothing is attached is one sink nil-check, one boolean, and the
-	// branches guarding each would-be clock read (see stream.runSequential).
+	// branches guarding each would-be clock read (see the split, eval and
+	// settle stages in internal/stream).
 	// The hooked side wraps one evaluation in exactly that hook sequence —
 	// against a nil sink, so every branch takes its disabled arm.
 	//
@@ -545,17 +546,6 @@ func BenchJSON(quick bool) (*BenchReport, error) {
 	if built := lazyCQ.LazyStats().StatesBuilt; built > 0 {
 		rep.LazyBlowupAvoided = float64(eagerStates) / float64(built)
 	}
-
-	// Bulk: the shared-compiled-query server shape.
-	bulk := make([]hedge.Hedge, bulkDocs)
-	var bulkNodes int64
-	for i := range bulk {
-		bulk[i] = gen.Document(gen.DefaultDocConfig(), bulkSize)
-		bulkNodes += int64(bulk[i].Size())
-	}
-	rep.Results = append(rep.Results, Measure(
-		"bulk-"+strconv.Itoa(bulkDocs)+"x"+sizeName(bulkSize), bulkNodes, minTime,
-		func() { cq.BulkSelect(bulk, 4) }))
 
 	rep.PeakRSSBytes = peakRSS()
 	return rep, nil

@@ -21,8 +21,7 @@ func TestBenchJSONQuick(t *testing.T) {
 		"stream-degraded-clean", "stream-degraded-1pct",
 		"stream-prefilter-off", "stream-prefilter-on",
 		"stream-sharedpass-8q", "stream-sharedpass-independent",
-		"compile-adversarial-k12-eager", "compile-adversarial-k12-lazy",
-		"bulk-16x2k"}
+		"compile-adversarial-k12-eager", "compile-adversarial-k12-lazy"}
 	if len(rep.Results) != len(wantNames) {
 		t.Fatalf("got %d results, want %d", len(rep.Results), len(wantNames))
 	}

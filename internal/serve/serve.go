@@ -752,8 +752,12 @@ type summaryLine struct {
 }
 
 // ndjson starts an NDJSON response and returns a line writer that flushes
-// at record boundaries.
+// at record boundaries. Lines stream while the request body is still being
+// split, so the response is full duplex: an HTTP/1.x server otherwise
+// discards the unread body at the first flush, failing the next record's
+// read. A writer without the capability, such as a recorder, is unchanged.
 func ndjson(w http.ResponseWriter) func(v any) error {
+	_ = http.NewResponseController(w).EnableFullDuplex()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	fl, _ := w.(http.Flusher)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"xpe"
+	"xpe/internal/faultinject"
 )
 
 const feedCorpus = `<corpus>` +
@@ -114,77 +115,129 @@ func postNDJSON(t *testing.T, url, doc string) ([]matchLine, summaryLine, *http.
 	return matches, summary, resp
 }
 
-// TestServeFeedSharedPass is the end-to-end differential: matches coming
-// back from a multi-tenant feed run must equal, per registered query, that
-// query's own SelectStream run — and the summary must satisfy the
-// records+prefiltered invariant.
+// TestServeFeedSharedPass is the end-to-end differential, at both pipeline
+// shapes (Options.Workers 1 and 4) and over clean and faulted feeds posted
+// under the default skip policy. Matches coming back from a multi-tenant
+// feed run must equal, per registered query, that query's own SelectStream
+// run, and together the library's SelectStreamMulti run line for line;
+// the summary's counts must equal that run's StreamStats.
 func TestServeFeedSharedPass(t *testing.T) {
-	eng := xpe.NewEngine()
-	_, ts := newTestServer(t, Options{Engine: eng})
-
-	// Three queries across two tenants. Each names a required label, so
-	// the union prefilter can skip records (an alternation like
-	// "(quote|sku)" would register an empty requirement set — a free
-	// group — and correctly disable whole-record skipping).
-	sources := map[string]string{
-		"prices": "price doc* *",
-		"Prices": "Price doc* *",
-		"skus":   "sku doc*",
+	// Five queries across two tenants: three match the corpus, two the
+	// faultinject feeds. Each names a required label, so the union
+	// prefilter can skip records (an alternation like "(quote|sku)" would
+	// register an empty requirement set — a free group — and correctly
+	// disable whole-record skipping).
+	regs := []struct{ tenant, name, src string }{
+		{"t1", "prices", "price doc* *"},
+		{"t1", "Prices", "Price doc* *"},
+		{"t2", "skus", "sku doc*"},
+		{"t2", "pairs", "[* ; a ; b .] rec"},
+		{"t1", "ids", "id rec"},
 	}
-	mustRegister(t, ts, `{"tenant":"t1","name":"prices","query":"price doc* *","feed":"market"}`)
-	mustRegister(t, ts, `{"tenant":"t1","name":"Prices","query":"Price doc* *","feed":"market"}`)
-	mustRegister(t, ts, `{"tenant":"t2","name":"skus","query":"sku doc*","feed":"market"}`)
-
-	matches, summary, _ := postNDJSON(t, ts.URL+"/v1/feed/market", feedCorpus)
-
-	// References: each query evaluated alone through the library.
-	for name, src := range sources {
-		q, err := eng.CompileQuery(src)
+	feedBody := func(spec faultinject.FeedSpec) string {
+		b, err := io.ReadAll(spec.Reader())
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want []string
-		if _, err := eng.SelectStream(context.Background(), strings.NewReader(feedCorpus), q,
-			xpe.SelectOptions{Workers: 1}, func(m xpe.StreamMatch) error {
-				want = append(want, fmt.Sprintf("%d|%s|%s|%s", m.Record, m.RecordPath, m.Path, m.Term))
-				return nil
-			}); err != nil {
-			t.Fatal(err)
-		}
-		var got []string
-		for _, m := range matches {
-			if m.Query == name {
-				got = append(got, fmt.Sprintf("%d|%s|%s|%s", m.Record, m.RecordPath, m.Path, m.Term))
-			}
-		}
-		if strings.Join(got, "\n") != strings.Join(want, "\n") {
-			t.Errorf("query %s: served matches %v != library matches %v", name, got, want)
-		}
-		if len(want) == 0 {
-			t.Fatalf("query %s matched nothing; fixture lost its point", name)
-		}
+		return string(b)
 	}
-	for _, m := range matches {
-		wantTenant := "t1"
-		if m.Query == "skus" {
-			wantTenant = "t2"
+	inputs := []struct {
+		name, split, body string
+		seen, skipped     int64 // records the splitter saw; failed records skipped
+	}{
+		{"corpus", "", feedCorpus, 5, 0},
+		// Malformed records early, mid-feed, and at index 32, the default
+		// batch size.
+		{"malformed", "rec", feedBody(faultinject.FeedSpec{Records: 40,
+			Malformed: map[int]bool{3: true, 17: true, 32: true}}), 37, 3},
+		{"truncated", "rec", feedBody(faultinject.FeedSpec{Records: 12, Truncated: true}), 11, 1},
+		// Many times the read buffer: match lines are flushed while most of
+		// the body is still unread.
+		{"long", "rec", feedBody(faultinject.FeedSpec{Records: 3000}), 3000, 0},
+	}
+	line := func(query string, m xpe.StreamMatch) string {
+		return fmt.Sprintf("%s|%d|%s|%s|%s", query, m.Record, m.RecordPath, m.Path, m.Term)
+	}
+	for _, workers := range []int{1, 4} {
+		for _, in := range inputs {
+			t.Run(fmt.Sprintf("workers=%d/%s", workers, in.name), func(t *testing.T) {
+				eng := xpe.NewEngine()
+				_, ts := newTestServer(t, Options{Engine: eng, Workers: workers})
+				var qs []*xpe.Query
+				for _, r := range regs {
+					mustRegister(t, ts, fmt.Sprintf(`{"tenant":%q,"name":%q,"query":%q,"feed":"market"}`,
+						r.tenant, r.name, r.src))
+					q, err := eng.CompileQuery(r.src)
+					if err != nil {
+						t.Fatal(err)
+					}
+					qs = append(qs, q)
+				}
+				matches, summary, _ := postNDJSON(t, ts.URL+"/v1/feed/market?split="+in.split, in.body)
+				tenants := map[string]string{}
+				var got []string
+				for _, m := range matches {
+					got = append(got, fmt.Sprintf("%s|%d|%s|%s|%s", m.Query, m.Record, m.RecordPath, m.Path, m.Term))
+					tenants[m.Query] = m.Tenant
+				}
+
+				// References: the library under the same split and policy,
+				// each query alone and all in one shared pass.
+				opts := xpe.SelectOptions{Workers: 1, SplitElement: in.split, OnError: xpe.Skip}
+				for i, q := range qs {
+					var want, mine []string
+					if _, err := eng.SelectStream(context.Background(), strings.NewReader(in.body), q, opts,
+						func(m xpe.StreamMatch) error {
+							want = append(want, line(regs[i].name, m))
+							return nil
+						}); err != nil {
+						t.Fatal(err)
+					}
+					for _, g := range got {
+						if strings.HasPrefix(g, regs[i].name+"|") {
+							mine = append(mine, g)
+						}
+					}
+					if strings.Join(mine, "\n") != strings.Join(want, "\n") {
+						t.Errorf("query %s: served matches %v != library matches %v", regs[i].name, mine, want)
+					}
+					if tenant, ok := tenants[regs[i].name]; ok && tenant != regs[i].tenant {
+						t.Errorf("match for %s attributed to tenant %s", regs[i].name, tenant)
+					}
+				}
+				var want []string
+				st, err := eng.SelectStreamMulti(context.Background(), strings.NewReader(in.body), qs, opts,
+					func(m xpe.MultiStreamMatch) error {
+						want = append(want, line(regs[m.Query].name, m.StreamMatch))
+						return nil
+					})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want) == 0 {
+					t.Fatal("no query matched; fixture lost its point")
+				}
+				if strings.Join(got, "\n") != strings.Join(want, "\n") {
+					t.Errorf("served lines != SelectStreamMulti lines:\n%s\n---\n%s",
+						strings.Join(got, "\n"), strings.Join(want, "\n"))
+				}
+				lib := summaryLine{Records: st.Records, Matches: st.Matches, Prefiltered: st.Prefiltered,
+					Skipped: st.Skipped, TimedOut: st.TimedOut, Recovered: st.Recovered, Bytes: st.Bytes,
+					Queries: len(regs)}
+				if summary != lib {
+					t.Errorf("summary %+v, library stats %+v", summary, lib)
+				}
+				// The splitter sees every record once; the skim only moves
+				// records between the two buckets.
+				if summary.Records+summary.Prefiltered != in.seen || summary.Skipped != in.skipped {
+					t.Errorf("records(%d) + prefiltered(%d), skipped %d; want %d seen, %d skipped",
+						summary.Records, summary.Prefiltered, summary.Skipped, in.seen, in.skipped)
+				}
+				if in.name == "corpus" && summary.Prefiltered == 0 {
+					t.Error("the memo record satisfies no query; the union prefilter should have skipped it")
+				}
+			})
 		}
-		if m.Tenant != wantTenant {
-			t.Errorf("match for %s attributed to tenant %s", m.Query, m.Tenant)
-		}
-	}
-	if int(summary.Matches) != len(matches) {
-		t.Errorf("summary.matches = %d, but %d match lines", summary.Matches, len(matches))
-	}
-	if summary.Queries != 3 {
-		t.Errorf("summary.queries = %d, want 3", summary.Queries)
-	}
-	// The splitter saw 5 records; skim moves them between the two buckets.
-	if summary.Records+summary.Prefiltered != 5 {
-		t.Errorf("records(%d) + prefiltered(%d) != 5", summary.Records, summary.Prefiltered)
-	}
-	if summary.Prefiltered == 0 {
-		t.Error("the memo record satisfies no query; the union prefilter should have skipped it")
 	}
 }
 

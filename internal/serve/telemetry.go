@@ -97,6 +97,9 @@ func (sw *statusWriter) Flush() {
 	}
 }
 
+// Unwrap lets http.ResponseController reach the underlying writer.
+func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
+
 // code is the committed status (200 when the handler returned without
 // an explicit WriteHeader — net/http's own default).
 func (sw *statusWriter) code() int {

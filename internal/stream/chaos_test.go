@@ -531,12 +531,16 @@ func TestChaosTraceSlowRecordRouting(t *testing.T) {
 
 func TestChaosAbortIsRawErrorWithNilPolicy(t *testing.T) {
 	// With no policy, a splitter failure surfaces the raw splitter error —
-	// the exact pre-policy surface — not a *RecordError wrapper.
+	// the exact pre-policy surface — not a *RecordError wrapper. The trace
+	// contract is the same at every worker count: each record before the
+	// failure commits an ok trace, and the failed record commits exactly
+	// one aborted trace.
 	spec := faultinject.FeedSpec{Records: 10, Malformed: map[int]bool{4: true}}
 	cq := chaosQuery(t)
 	for _, workers := range []int{1, 4} {
+		tr := trace.New(16)
 		_, err := Run(context.Background(), spec.Reader(), cq,
-			Config{Workers: workers, Split: spec.SplitName()},
+			Config{Workers: workers, Split: spec.SplitName(), Trace: tr},
 			func(r *Result) error { return nil })
 		var re *RecordError
 		if errors.As(err, &re) {
@@ -545,6 +549,18 @@ func TestChaosAbortIsRawErrorWithNilPolicy(t *testing.T) {
 		var pe *xmlhedge.RecordParseError
 		if !errors.As(err, &pe) || pe.Index != 4 {
 			t.Fatalf("workers=%d: err = %v, want RecordParseError for record 4", workers, err)
+		}
+		if tr.Total() != 5 {
+			t.Fatalf("workers=%d: committed %d traces, want 5", workers, tr.Total())
+		}
+		byIdx := traceByIndex(t, tr)
+		for i := 0; i < 4; i++ {
+			if rt := byIdx[i]; rt.Outcome != "ok" || rt.Matches != 1 {
+				t.Fatalf("workers=%d: record %d trace = %+v, want ok with 1 match", workers, i, rt)
+			}
+		}
+		if rt := byIdx[4]; rt.Outcome != "aborted" || rt.Error != err.Error() {
+			t.Fatalf("workers=%d: record 4 trace = %+v, want aborted with %q", workers, rt, err)
 		}
 	}
 }

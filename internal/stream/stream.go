@@ -6,8 +6,8 @@
 // through a callback in document order — as soon as each record completes.
 //
 // Peak memory is O(largest record × in-flight records), never O(document):
-// with W workers at most W+1 record arenas exist, and a single-worker run
-// holds exactly one. Records are independent evaluation units — each is
+// a parallel run with W workers holds W+2 batch arenas, and a single-worker
+// run exactly one. Records are independent evaluation units — each is
 // treated as its own document, so a query's envelope conditions range over
 // the record subtree only (the paper's Algorithm 1 run per record). That is
 // the semantics that admits single-pass bounded-memory evaluation: sibling
@@ -64,8 +64,9 @@ type Config struct {
 	// runs (0 = auto, currently 32; 1 restores record-at-a-time handoff).
 	// Larger batches amortize channel and scheduler costs per record but
 	// raise peak memory — the bound is O(largest record × BatchSize ×
-	// (Workers+2)) — and delivery latency for slow producers. Sequential
-	// runs ignore it.
+	// (Workers+2)) — and delivery latency for slow producers. A
+	// single-worker run settles each record before splitting the next, so
+	// it ignores BatchSize.
 	BatchSize int
 	// MaxRecordNodes / MaxRecordDepth bound individual records (0 =
 	// unlimited); a violating record fails with *xmlhedge.LimitError,
@@ -110,11 +111,10 @@ type Config struct {
 	Metrics *metrics.Metrics
 	// Trace, when non-nil, receives one trace.RecordTrace per record that
 	// reaches an in-order verdict — delivered, skipped, or aborting the
-	// run (parallel runs may abort without a trace when the failure
-	// bypasses the policy). Stage timings are assembled whenever Trace or
-	// OnSlow is set, at the same cost as Metrics timing; splitter events
-	// ride the trace of the record being produced when they fired, so
-	// recovery activity for a skipped record lands on the *following*
+	// run — at every worker count. Stage timings are assembled whenever
+	// Trace or OnSlow is set, at the same cost as Metrics timing; splitter
+	// events ride the trace of the record being produced when they fired,
+	// so recovery activity for a skipped record lands on the *following*
 	// record's trace (the event detail names the record it concerns).
 	// Nil disables trace assembly entirely.
 	Trace *trace.Tracer
@@ -146,22 +146,6 @@ const (
 	// PrefilterOff never prefilters; every record is parsed and evaluated.
 	PrefilterOff
 )
-
-// tracing reports whether per-record traces must be assembled: a ring to
-// commit into, or a slow-record callback to feed.
-func (cfg *Config) tracing() bool { return cfg.Trace != nil || cfg.OnSlow != nil }
-
-// commitTrace finalizes one record trace: totals the stage spans, stores
-// the trace in the flight-recorder ring, and routes it to the slow-record
-// callback when it crossed the threshold.
-func commitTrace(cfg *Config, rt trace.RecordTrace) {
-	rt.TotalNS = rt.SplitNS + rt.EvalNS + rt.DeliverNS
-	rt.RequestID = cfg.RequestID
-	cfg.Trace.Commit(rt)
-	if cfg.OnSlow != nil && cfg.SlowThreshold > 0 && rt.TotalNS >= int64(cfg.SlowThreshold) {
-		cfg.OnSlow(rt)
-	}
-}
 
 // Injector is the fault-injection hook: BeforeEval runs at the start of
 // each record's evaluation, inside the panic-containment scope, so an
@@ -223,25 +207,27 @@ type Result struct {
 	// labels holds the record's label ids resolved once per distinct
 	// query alphabet (see labelsFor); the buffers outlive reset.
 	labels []labelSet
-	// collect caches the bound SelectEach match sink. The callback escapes
-	// into a pooled walker on every evaluation, so an uncached closure
-	// would cost one heap allocation per record; the method value here is
-	// allocated once per Result lifetime instead. reset keeps it.
-	collect func(p hedge.Path, n *hedge.Node) bool
-	// fail marks a contained per-record failure (always a *RecordError)
-	// traveling the pipeline in place of matches; the collector routes it
-	// through the error policy at the record's in-order position.
-	fail error
-	// await, on splitter-failure tombstones, carries the policy verdict
-	// back to the producer, which is blocked mid-recovery waiting for it.
+	// collect and bounded cache the bound match sinks (see sink); reset
+	// keeps them.
+	collect, bounded func(p hedge.Path, n *hedge.Node) bool
+	// deadline, seen and timedOut are the record timeout's state, read by
+	// the bounded sink. Captured by a closure instead, they would move to
+	// the heap on every record.
+	deadline time.Time
+	seen     int
+	timedOut bool
+	// fail marks a contained per-record failure traveling the pipeline in
+	// place of matches; settle routes it through the error policy at the
+	// record's in-order position. On a splitter tombstone, fatal marks a
+	// failure no policy may skip, and await (parallel runs only) carries
+	// the verdict back to the producer, blocked until it may recover.
+	fail  *RecordError
+	fatal bool
 	await chan error
-	// splitNS/evalNS/events carry the producer's and worker's trace
-	// contributions to the collector when tracing is on. They are not
-	// cleared by reset — the worker resets after the producer has already
-	// stamped them — so every tracing-enabled path must set all three.
-	splitNS int64
-	evalNS  int64
-	events  []trace.Event
+	// splitNS, evalNS and events are the split and eval stages' trace
+	// contributions, read by settle when tracing is on.
+	splitNS, evalNS int64
+	events          []trace.Event
 }
 
 // labelSet is one record's label ids resolved against one query alphabet.
@@ -250,17 +236,14 @@ type labelSet struct {
 	ids   []int32
 }
 
-// reset prepares a recycled Result for reuse.
+// reset clears a recycled Result for the next record, keeping its buffers
+// and cached sinks.
 func (r *Result) reset() {
-	r.Matches = r.Matches[:0]
-	r.pathBuf = r.pathBuf[:0]
 	for i := range r.labels {
 		r.labels[i].names = nil
 	}
-	r.labels = r.labels[:0]
-	r.curQuery = 0
-	r.fail = nil
-	r.await = nil
+	*r = Result{Matches: r.Matches[:0], pathBuf: r.pathBuf[:0], labels: r.labels[:0],
+		collect: r.collect, bounded: r.bounded}
 }
 
 // labelsFor returns h's label ids in names (core.ResolveLabels), resolving
@@ -280,25 +263,39 @@ func (r *Result) labelsFor(h hedge.Hedge, names *ha.Names) []int32 {
 	return ls.ids
 }
 
-// addMatch copies the (reused) path into the result's backing buffer and
-// appends a match for the query currently being evaluated.
-func (r *Result) addMatch(p hedge.Path, n *hedge.Node) {
+// collectMatch is the unbounded match sink: it copies the (reused) path
+// into the result's backing buffer, appends a match for the query being
+// evaluated, and keeps going.
+func (r *Result) collectMatch(p hedge.Path, n *hedge.Node) bool {
 	start := len(r.pathBuf)
 	r.pathBuf = append(r.pathBuf, p...)
 	r.Matches = append(r.Matches, Match{Query: r.curQuery,
 		Path: r.pathBuf[start:len(r.pathBuf):len(r.pathBuf)], Node: n})
-}
-
-// collectMatch is the unbounded match sink: append and keep going.
-func (r *Result) collectMatch(p hedge.Path, n *hedge.Node) bool {
-	r.addMatch(p, n)
 	return true
 }
 
-// sink returns the cached bound collectMatch, creating it on first use.
-func (r *Result) sink() func(p hedge.Path, n *hedge.Node) bool {
+// collectBounded is collectMatch under the record deadline, sampled every
+// 64 matches (Algorithm 1 is linear and terminating — the budget targets
+// slow records, not infinite loops).
+func (r *Result) collectBounded(p hedge.Path, n *hedge.Node) bool {
+	r.collectMatch(p, n)
+	if r.seen++; r.seen&63 == 0 && time.Now().After(r.deadline) {
+		r.timedOut = true
+		return false
+	}
+	return true
+}
+
+// sink returns the cached match sink, deadline-bounded or not. The sink
+// escapes into a pooled walker on every evaluation, so a fresh closure
+// would cost a heap allocation per record; the method values are created
+// once per Result lifetime instead.
+func (r *Result) sink(bounded bool) func(p hedge.Path, n *hedge.Node) bool {
 	if r.collect == nil {
-		r.collect = r.collectMatch
+		r.collect, r.bounded = r.collectMatch, r.collectBounded
+	}
+	if bounded {
+		return r.bounded
 	}
 	return r.collect
 }
@@ -392,155 +389,115 @@ func runQueries(ctx context.Context, r io.Reader, qs []*core.CompiledQuery, cfg 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var ms *metrics.Stream
+	p := &pipe{qs: qs, cfg: &cfg, yield: yield}
 	if cfg.Metrics != nil {
 		ropts.Metrics = &cfg.Metrics.Split
-		ms = &cfg.Metrics.Stream
-		ms.Runs.Inc()
-		ms.Workers.Set(int64(workers))
+		p.ms = &cfg.Metrics.Stream
+		p.ms.Runs.Inc()
+		p.ms.Workers.Set(int64(workers))
 		start := time.Now()
-		defer func() { ms.WallTime.Observe(time.Since(start)) }()
+		defer func() { p.ms.WallTime.Observe(time.Since(start)) }()
 	}
-	var sink *trace.EventSink
-	if cfg.tracing() {
-		sink = trace.NewEventSink()
-		ropts.Events = sink
+	if cfg.Trace != nil || cfg.OnSlow != nil {
+		p.sink = trace.NewEventSink()
+		ropts.Events = p.sink
 	}
+	p.timed = p.ms != nil || p.sink.Enabled()
 	if cfg.Prefilter == PrefilterAuto {
-		if len(qs) == 1 {
-			// NewPrefilter returns nil when the query has no required labels
-			// (e.g. wildcard-only queries), which disables the cascade.
-			ropts.Prefilter = xmlhedge.NewPrefilter(qs[0].RequiredLabels())
-		} else {
-			// One requirement group per query, indices aligned with qs, so
-			// the skim verdict doubles as the per-query evaluation gate.
-			groups := make([][]string, len(qs))
-			for i, cq := range qs {
-				groups[i] = cq.RequiredLabels()
-			}
-			ropts.Prefilter = xmlhedge.NewMultiPrefilter(groups)
+		// One requirement group per query, indices aligned with qs, so the
+		// skim verdict doubles as the per-query evaluation gate. With no
+		// required label anywhere (e.g. wildcard-only queries) the
+		// prefilter is nil, which disables the cascade.
+		groups := make([][]string, len(qs))
+		for i, cq := range qs {
+			groups[i] = cq.RequiredLabels()
 		}
+		ropts.Prefilter = xmlhedge.NewMultiPrefilter(groups)
 	}
 	// Lazy-determinization counters live on the shared compilations; deltas
-	// around the run attribute this run's share to its Stats. Repeated
-	// pointers (the same compilation registered under several indices)
-	// count once.
+	// around the run attribute this run's share to its Stats.
 	lz0 := lazyTotals(qs)
-	var stats Stats
 	var err error
 	if workers <= 1 {
-		ropts.Ctx = ctx
-		rr := xmlhedge.NewRecordReader(r, ropts)
-		stats, err = runSequential(ctx, rr, qs, cfg, ms, sink, yield)
-		stats.Prefiltered = rr.Prefiltered()
+		err = p.runInline(ctx, r, ropts)
 	} else {
-		stats, err = runParallel(ctx, r, ropts, qs, workers, cfg, ms, sink, yield)
+		err = p.runParallel(ctx, r, ropts, workers)
 	}
+	// Both runs have stopped reading, so the reader's counters are final.
+	p.stats.Bytes = p.rr.InputOffset()
+	p.stats.Prefiltered = p.rr.Prefiltered()
 	lzd := lazyTotals(qs).Sub(lz0)
-	stats.LazyStates = lzd.StatesBuilt
-	stats.LazyHits = lzd.Hits
-	stats.LazyEvictions = lzd.Evictions
-	return stats, err
+	p.stats.LazyStates = lzd.StatesBuilt
+	p.stats.LazyHits = lzd.Hits
+	p.stats.LazyEvictions = lzd.Evictions
+	return p.stats, err
 }
 
-// lazyTotals sums lazy-DHA counters across distinct compilations.
+// lazyTotals sums lazy-DHA counters across distinct compilations: the same
+// compilation registered under several indices counts once.
 func lazyTotals(qs []*core.CompiledQuery) ha.LazyStats {
-	if len(qs) == 1 {
-		return qs[0].LazyStats()
-	}
 	var total ha.LazyStats
 	for i, cq := range qs {
-		dup := false
-		for _, prev := range qs[:i] {
-			if prev == cq {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.Contains(qs[:i], cq) {
 			total = total.Add(cq.LazyStats())
 		}
 	}
 	return total
 }
 
-// safeEvaluate runs every live query over one parsed record with panics
-// contained and the evaluation timeout enforced — the timeout budget spans
-// the whole record, shared by all queries. A query whose verdict bit in
-// rec.Hint is clear is provably matchless here (the prefilter found a
-// required label absent) and is skipped without touching its automaton.
-// The record's labels are resolved on the first allowed query, once per
-// distinct query alphabet (Result.labelsFor). A non-nil return is always a
-// *RecordError; on success res holds the matches, grouped by query index.
-func safeEvaluate(qs []*core.CompiledQuery, rec *xmlhedge.Record, res *Result, cfg *Config) (fail *RecordError) {
-	defer func() {
-		if v := recover(); v != nil {
-			fail = &RecordError{Index: rec.Index, Path: rec.Path,
-				Err: &PanicError{Value: v, Stack: debug.Stack()}}
-		}
-	}()
+// pipe is one run's per-record pipeline, three stages written once: split
+// reads a record, eval runs Algorithm 1 on it, and settle delivers it in
+// document order. A single-worker run calls them in turn (runInline); a
+// parallel run calls split on its producer, eval on its workers and settle
+// on its collector (runParallel).
+type pipe struct {
+	ctx   context.Context // the splitter's context
+	rr    *xmlhedge.RecordReader
+	qs    []*core.CompiledQuery
+	cfg   *Config
+	ms    *metrics.Stream  // nil without Config.Metrics
+	sink  *trace.EventSink // nil unless tracing
+	timed bool             // stage timing: a metrics sink or tracing
+	yield func(*Result) error
+	stats Stats // settle's counters
+}
+
+// split reads the next record into it and stamps the split time and the
+// splitter events on its Result. A record-scoped splitter failure becomes
+// a tombstone: res.fail is set, and res.fatal when no policy may skip it.
+// io.EOF and cancellation are returned with it left unfilled.
+func (p *pipe) split(arena *xmlhedge.Arena, it *batchItem) error {
+	if err := p.ctx.Err(); err != nil {
+		return err
+	}
+	var t0 time.Time
+	if p.timed {
+		t0 = time.Now()
+	}
+	rec, err := p.rr.Read(arena)
+	res := &it.res
 	res.reset()
-	res.Index, res.Path, res.Nodes = rec.Index, rec.Path, rec.Nodes
-	timeout := cfg.RecordTimeout
-	var start time.Time
-	if timeout > 0 || cfg.Inject != nil {
-		start = time.Now()
-	}
-	if cfg.Inject != nil {
-		cfg.Inject.BeforeEval(rec.Index)
-	}
-	// Cooperative deadline: sampled every 64 matches during a traversal
-	// (Algorithm 1 is linear and terminating — the budget targets slow
-	// records, not infinite loops), between queries, and once more at the
-	// end.
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = start.Add(timeout)
-	}
-	n, timedOut := 0, false
-	for qi, cq := range qs {
-		if !rec.Hint.Allows(qi) {
-			continue
-		}
-		if timeout > 0 && time.Now().After(deadline) {
-			timedOut = true
-			break
-		}
-		res.curQuery = qi
-		switch {
-		case cfg.Explain:
-			// Provenance capture: ExplainEach locates exactly what
-			// SelectEach does, with each match carrying its witness.
-			cq.ExplainEach(rec.Hedge, func(w core.Witness, node *hedge.Node) bool {
-				res.addMatch(w.Path, node)
-				res.Matches[len(res.Matches)-1].Witness = &w
-				if timeout > 0 {
-					if n++; n&63 == 0 && time.Now().After(deadline) {
-						timedOut = true
-						return false
-					}
-				}
-				return true
-			})
-		case timeout <= 0:
-			cq.SelectEachResolved(rec.Hedge, res.labelsFor(rec.Hedge, cq.Names), res.sink())
-		default:
-			cq.SelectEachResolved(rec.Hedge, res.labelsFor(rec.Hedge, cq.Names), func(p hedge.Path, node *hedge.Node) bool {
-				res.addMatch(p, node)
-				if n++; n&63 == 0 && time.Now().After(deadline) {
-					timedOut = true
-					return false
-				}
-				return true
-			})
-		}
-		if timedOut {
-			break
+	if p.timed {
+		d := time.Since(t0)
+		res.splitNS = int64(d)
+		if p.ms != nil {
+			p.ms.SplitTime.Observe(d)
 		}
 	}
-	if timeout > 0 && (timedOut || time.Since(start) > timeout) {
-		return &RecordError{Index: rec.Index, Path: rec.Path, Err: ErrRecordTimeout}
+	switch {
+	case err == nil:
+		it.rec = rec
+		res.Index, res.Path, res.Nodes = rec.Index, rec.Path, rec.Nodes
+	case err == io.EOF:
+		return err
+	case p.ctx.Err() != nil:
+		return p.ctx.Err()
+	default:
+		res.fail = recordFailure(p.rr, err)
+		res.Index, res.Path = res.fail.Index, res.fail.Path
+		res.fatal = p.cfg.OnRecordError == nil || !p.rr.CanRecover()
 	}
+	res.events = p.sink.Drain()
 	return nil
 }
 
@@ -561,155 +518,192 @@ func recordFailure(rr *xmlhedge.RecordReader, err error) *RecordError {
 	return fail
 }
 
-// runSequential is the single-worker hot loop: one arena, one Result, no
-// goroutines — steady-state evaluation allocates nothing, with or without
-// a metrics sink (timing is two clock reads per stage per record).
-func runSequential(ctx context.Context, rr *xmlhedge.RecordReader, qs []*core.CompiledQuery, cfg Config, ms *metrics.Stream, sink *trace.EventSink, yield func(*Result) error) (Stats, error) {
-	// The arena and Result ride in a pooled single-item batch so
-	// back-to-back runs reuse warm storage: one short stream never
-	// amortizes cold chunk growth on its own.
-	st := getBatch(1)
-	defer batchPool.Put(st)
-	var (
-		stats Stats
-		t0    time.Time
-	)
-	arena, res := &st.arena, &st.items[0].res
-	pol := cfg.OnRecordError
-	tracing := sink.Enabled()
-	timed := ms != nil || tracing
-	commit := func(rt trace.RecordTrace) {
-		rt.Events = sink.Drain()
-		commitTrace(&cfg, rt)
+// eval runs every live query over a split record and stamps the
+// evaluation time; a contained failure replaces the matches (res.fail).
+// Tombstones pass through untouched.
+func (p *pipe) eval(it *batchItem) {
+	if it.res.fail != nil {
+		return
 	}
-	for {
-		if err := ctx.Err(); err != nil {
-			stats.Bytes = rr.InputOffset()
-			return stats, err
+	var t0 time.Time
+	if p.timed {
+		t0 = time.Now()
+	}
+	it.res.fail = safeEvaluate(p.qs, &it.rec, &it.res, p.cfg)
+	if p.timed {
+		d := time.Since(t0)
+		it.res.evalNS = int64(d)
+		if p.ms != nil {
+			p.ms.EvalTime.Observe(d)
+			p.ms.RecordLatency.Observe(d)
 		}
-		arena.Reset()
-		if timed {
-			t0 = time.Now()
+	}
+}
+
+// safeEvaluate runs every live query over one parsed record with panics
+// contained and the evaluation timeout enforced — the timeout budget spans
+// the whole record, shared by all queries. A query whose verdict bit in
+// rec.Hint is clear is provably matchless here (the prefilter found a
+// required label absent) and is skipped without touching its automaton.
+// The record's labels are resolved on the first allowed query, once per
+// distinct query alphabet (Result.labelsFor). On success res holds the
+// matches, grouped by query index.
+func safeEvaluate(qs []*core.CompiledQuery, rec *xmlhedge.Record, res *Result, cfg *Config) (fail *RecordError) {
+	defer func() {
+		if v := recover(); v != nil {
+			fail = &RecordError{Index: rec.Index, Path: rec.Path,
+				Err: &PanicError{Value: v, Stack: debug.Stack()}}
 		}
-		rec, err := rr.Read(arena)
-		var splitNS int64
-		if timed {
-			d := time.Since(t0)
-			splitNS = int64(d)
-			if ms != nil {
-				ms.SplitTime.Observe(d)
-			}
+	}()
+	// The clock starts before the injection point, so an injected stall
+	// counts against the budget.
+	timeout := cfg.RecordTimeout
+	if timeout > 0 {
+		res.deadline = time.Now().Add(timeout)
+	}
+	if cfg.Inject != nil {
+		cfg.Inject.BeforeEval(rec.Index)
+	}
+	// Cooperative deadline: sampled by the bounded sink during a traversal,
+	// between queries, and once more at the end.
+	sink := res.sink(timeout > 0)
+	for qi, cq := range qs {
+		if !rec.Hint.Allows(qi) {
+			continue
 		}
-		if err == io.EOF {
+		if timeout > 0 && time.Now().After(res.deadline) {
+			res.timedOut = true
 			break
 		}
-		if err != nil {
-			stats.Bytes = rr.InputOffset()
-			splitTrace := func(outcome string, cause error) {
-				if tracing {
-					fail := recordFailure(rr, err)
-					commit(trace.RecordTrace{Index: fail.Index, Path: fail.Path.String(),
-						SplitNS: splitNS, Outcome: outcome, Error: cause.Error()})
-				}
-			}
-			if pol == nil || !rr.CanRecover() {
-				splitTrace("aborted", err)
-				return stats, err
-			}
-			if perr := pol(recordFailure(rr, err)); perr != nil {
-				splitTrace("aborted", perr)
-				return stats, perr
-			}
-			stats.Skipped++
-			if ms != nil {
-				ms.RecordsSkipped.Inc()
-			}
-			splitTrace("skipped", err)
-			if rerr := rr.Recover(); rerr != nil {
-				return stats, rerr
-			}
-			continue
+		res.curQuery = qi
+		if cfg.Explain {
+			// Provenance capture: ExplainEach locates exactly what
+			// SelectEach does, with each match carrying its witness.
+			cq.ExplainEach(rec.Hedge, func(w core.Witness, node *hedge.Node) bool {
+				more := sink(w.Path, node)
+				res.Matches[len(res.Matches)-1].Witness = &w
+				return more
+			})
+		} else {
+			cq.SelectEachResolved(rec.Hedge, res.labelsFor(rec.Hedge, cq.Names), sink)
 		}
-		if timed {
-			t0 = time.Now()
-		}
-		evalErr := safeEvaluate(qs, &rec, res, &cfg)
-		var evalNS int64
-		if timed {
-			d := time.Since(t0)
-			evalNS = int64(d)
-			if ms != nil {
-				ms.EvalTime.Observe(d)
-				ms.RecordLatency.Observe(d)
-			}
-		}
-		if evalErr != nil {
-			if _, isPanic := evalErr.Err.(*PanicError); isPanic {
-				stats.Recovered++
-				if ms != nil {
-					ms.PanicsRecovered.Inc()
-				}
-			}
-			if errors.Is(evalErr.Err, ErrRecordTimeout) {
-				stats.TimedOut++
-				if ms != nil {
-					ms.RecordsTimedOut.Inc()
-				}
-			}
-			evalTrace := func(outcome string, cause error) {
-				if tracing {
-					commit(trace.RecordTrace{Index: res.Index, Path: res.Path.String(),
-						SplitNS: splitNS, EvalNS: evalNS, Nodes: res.Nodes,
-						Matches: len(res.Matches), Outcome: outcome, Error: cause.Error()})
-				}
-			}
-			if pol == nil {
-				stats.Bytes = rr.InputOffset()
-				evalTrace("aborted", evalErr)
-				return stats, evalErr
-			}
-			if perr := pol(evalErr); perr != nil {
-				stats.Bytes = rr.InputOffset()
-				evalTrace("aborted", perr)
-				return stats, perr
-			}
-			stats.Skipped++
-			if ms != nil {
-				ms.RecordsSkipped.Inc()
-			}
-			evalTrace("skipped", evalErr)
-			continue
-		}
-		stats.Records++
-		stats.Nodes += int64(res.Nodes)
-		stats.Matches += int64(len(res.Matches))
-		if timed {
-			t0 = time.Now()
-		}
-		err = yield(res)
-		var deliverNS int64
-		if timed {
-			d := time.Since(t0)
-			deliverNS = int64(d)
-			if ms != nil {
-				ms.DeliverTime.Observe(d)
-			}
-		}
-		if tracing {
-			commit(trace.RecordTrace{Index: res.Index, Path: res.Path.String(),
-				SplitNS: splitNS, EvalNS: evalNS, DeliverNS: deliverNS,
-				Nodes: res.Nodes, Matches: len(res.Matches), Outcome: "ok"})
-		}
-		if err != nil {
-			stats.Bytes = rr.InputOffset()
-			if errors.Is(err, ErrStop) {
-				return stats, nil
-			}
-			return stats, err
+		if res.timedOut {
+			break
 		}
 	}
-	stats.Bytes = rr.InputOffset()
-	return stats, nil
+	if timeout > 0 && (res.timedOut || time.Now().After(res.deadline)) {
+		return &RecordError{Index: rec.Index, Path: rec.Path, Err: ErrRecordTimeout}
+	}
+	return nil
+}
+
+// settle is the in-order stage: it routes a failed record through the
+// policy, updates the counters, commits the record's trace and delivers a
+// healthy record. stop reports that the run ends, with err (nil when yield
+// stopped it with ErrStop). settle builds every trace the run commits.
+func (p *pipe) settle(r *Result) (stop bool, err error) {
+	outcome, cause := "ok", error(nil)
+	var deliverNS int64
+	if f := r.fail; f != nil {
+		if _, isPanic := f.Err.(*PanicError); isPanic {
+			p.stats.Recovered++
+			if p.ms != nil {
+				p.ms.PanicsRecovered.Inc()
+			}
+		}
+		if errors.Is(f.Err, ErrRecordTimeout) {
+			p.stats.TimedOut++
+			if p.ms != nil {
+				p.ms.RecordsTimedOut.Inc()
+			}
+		}
+		switch {
+		case r.fatal:
+			err = f.Err // the raw splitter error: the pre-policy surface
+		case p.cfg.OnRecordError == nil:
+			err = f
+		default:
+			err = p.cfg.OnRecordError(f)
+		}
+		outcome, cause, stop = "skipped", f, err != nil
+		if stop {
+			outcome, cause = "aborted", err
+		} else {
+			p.stats.Skipped++
+			if p.ms != nil {
+				p.ms.RecordsSkipped.Inc()
+			}
+		}
+	} else {
+		p.stats.Records++
+		p.stats.Nodes += int64(r.Nodes)
+		p.stats.Matches += int64(len(r.Matches))
+		var t0 time.Time
+		if p.timed {
+			t0 = time.Now()
+		}
+		err = p.yield(r)
+		if p.timed {
+			d := time.Since(t0)
+			deliverNS = int64(d)
+			if p.ms != nil {
+				p.ms.DeliverTime.Observe(d)
+			}
+		}
+		stop = err != nil
+		if errors.Is(err, ErrStop) {
+			err = nil // a clean early end
+		}
+	}
+	if p.sink.Enabled() {
+		rt := trace.RecordTrace{Index: r.Index, Path: r.Path.String(),
+			SplitNS: r.splitNS, EvalNS: r.evalNS, DeliverNS: deliverNS,
+			TotalNS: r.splitNS + r.evalNS + deliverNS, Nodes: r.Nodes,
+			Matches: len(r.Matches), Outcome: outcome, Events: r.events,
+			RequestID: p.cfg.RequestID}
+		if cause != nil {
+			rt.Error = cause.Error()
+		}
+		p.cfg.Trace.Commit(rt)
+		if p.cfg.OnSlow != nil && p.cfg.SlowThreshold > 0 && rt.TotalNS >= int64(p.cfg.SlowThreshold) {
+			p.cfg.OnSlow(rt)
+		}
+	}
+	if r.await != nil {
+		r.await <- err // release the producer parked on this tombstone
+	}
+	return stop, err
+}
+
+// runInline is the single-worker run: the three stages in turn on one
+// pooled one-item batch, with no goroutines.
+func (p *pipe) runInline(ctx context.Context, r io.Reader, ropts xmlhedge.RecordOptions) error {
+	ropts.Ctx = ctx
+	p.ctx, p.rr = ctx, xmlhedge.NewRecordReader(r, ropts)
+	// The pooled batch lets back-to-back runs reuse a warm arena and
+	// Result: one short stream never amortizes cold chunk growth alone.
+	b := getBatch(1)
+	defer batchPool.Put(b)
+	it := &b.items[0]
+	for {
+		b.arena.Reset()
+		if err := p.split(&b.arena, it); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return err
+		}
+		tomb := it.res.fail != nil
+		p.eval(it)
+		if stop, err := p.settle(&it.res); stop {
+			return err
+		}
+		if tomb {
+			// Skipped: resume past the failed record.
+			if err := p.rr.Recover(); err != nil {
+				return err
+			}
+		}
+	}
 }
 
 // defaultBatchSize is the auto records-per-handoff for parallel runs: big
@@ -753,36 +747,46 @@ func getBatch(batchSize int) *batch {
 	return b
 }
 
-// runParallel fans batches of records out to a bounded worker pool and
-// reorders them for in-order delivery. Batch objects (workers+2 of them,
-// each owning one arena) are the memory bound: the producer blocks until a
-// delivered batch is recycled. Workers publish finished batches into a
-// sequence-indexed reorder ring with a non-blocking wakeup, so delivery
-// order costs no per-record channel exchange and workers never block on a
-// slow collector.
+// fill splits records into b until it is full or a tombstone closes it,
+// returning split's io.EOF or cancellation.
+func (p *pipe) fill(b *batch) error {
+	b.arena.Reset()
+	for b.n = 0; b.n < len(b.items); {
+		it := &b.items[b.n]
+		if err := p.split(&b.arena, it); err != nil {
+			return err
+		}
+		if b.n++; it.res.fail != nil {
+			return nil
+		}
+	}
+	return nil
+}
+
+// runParallel runs the same three stages on goroutines: a producer splits
+// batches of records into recycled batch arenas, workers evaluate whole
+// batches, and the collector (this goroutine) settles them in sequence
+// order. Batch objects (workers+2 of them, each owning one arena) are the
+// memory bound: the producer blocks until a settled batch is recycled.
+// Workers publish finished batches into a sequence-indexed reorder ring
+// with a non-blocking wakeup, so in-order delivery costs no per-record
+// channel exchange and workers never block on a slow collector.
 //
-// Failure containment keeps the policy on the collector: evaluation
-// failures replace the worker's matches on the item's Result; splitter
-// failures become tombstone items closing out the current batch (so
-// in-order delivery never stalls on the failed index) while the producer
-// blocks on the tombstone's await channel for the verdict — recovery
-// rewires the reader's state, so the producer cannot run ahead of the
-// decision.
-func runParallel(ctx context.Context, r io.Reader, ropts xmlhedge.RecordOptions, qs []*core.CompiledQuery, workers int, cfg Config, ms *metrics.Stream, sink *trace.EventSink, yield func(*Result) error) (Stats, error) {
+// A splitter tombstone closes its batch, so settling never stalls on the
+// failed index. A fatal one ends production; otherwise the producer blocks
+// on the tombstone's await channel for settle's verdict — recovery rewires
+// the reader's state, so the producer cannot run ahead of the decision.
+func (p *pipe) runParallel(ctx context.Context, r io.Reader, ropts xmlhedge.RecordOptions, workers int) error {
+	// The splitter polls the run's own context, so cancellation (external
+	// or a settled abort) interrupts even a mid-record read.
 	ictx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	// The splitter polls the internal context, so cancellation (external or
-	// failure-induced) interrupts even a mid-record read.
 	ropts.Ctx = ictx
-	rr := xmlhedge.NewRecordReader(r, ropts)
-	pol := cfg.OnRecordError
-	tracing := sink.Enabled()
-	timed := ms != nil || tracing
-	batchSize := cfg.BatchSize
+	p.ctx, p.rr = ictx, xmlhedge.NewRecordReader(r, ropts)
+	batchSize := p.cfg.BatchSize
 	if batchSize <= 0 {
 		batchSize = defaultBatchSize
 	}
-
 	nBatches := workers + 2
 	free := make(chan *batch, nBatches)
 	for i := 0; i < nBatches; i++ {
@@ -801,173 +805,74 @@ func runParallel(ctx context.Context, r io.Reader, ropts xmlhedge.RecordOptions,
 	ring := make([]atomic.Pointer[batch], ringSize)
 	kick := make(chan struct{}, 1) // non-blocking wakeup: ring slot filled
 
-	var (
-		bytes    atomic.Int64
-		pre      atomic.Int64
-		errMu    sync.Mutex
-		firstErr error
-	)
-	setErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		cancel()
-	}
-	// storeProgress publishes the producer's reader-side counters for the
-	// collector; called at every producer exit path (see prodDone ordering).
-	storeProgress := func() {
-		bytes.Store(rr.InputOffset())
-		pre.Store(rr.Prefiltered())
-	}
-
-	// Producer: split batches of records into recycled batch arenas.
-	// prodDone orders the producer's final storeProgress before the
-	// collector's loads — without it the collector could observe a stale
-	// offset when cancellation ends the run mid-Read.
+	// Producer. Its exit closes jobs, then prodDone, which orders its last
+	// reader state and prodErr before the collector's reads.
+	var prodErr error
 	prodDone := make(chan struct{})
-	go pprof.Do(ictx, pprof.Labels("xpe.stage", "stream-split"), func(ictx context.Context) {
+	go pprof.Do(ictx, pprof.Labels("xpe.stage", "stream-split"), func(context.Context) {
 		defer close(prodDone)
 		defer close(jobs)
 		verdict := make(chan error, 1) // reused: at most one tombstone is outstanding
-		seq := 0
-		// flush hands the batch to the workers; jobs' capacity equals the
-		// total batch count, so the send cannot block.
-		flush := func(b *batch) {
-			b.seq = seq
-			seq++
-			jobs <- b
-		}
-		var t0 time.Time
-		for {
+		for seq := 0; ; seq++ {
 			var b *batch
 			select {
 			case b = <-free:
 			case <-ictx.Done():
-				storeProgress()
 				return
 			}
-			b.arena.Reset()
-			b.n = 0
-			for b.n < batchSize {
-				if timed {
-					t0 = time.Now()
-				}
-				rec, err := rr.Read(&b.arena)
-				var splitNS int64
-				if timed {
-					d := time.Since(t0)
-					splitNS = int64(d)
-					if ms != nil {
-						ms.SplitTime.Observe(d)
-					}
-				}
-				if err != nil {
-					if err == io.EOF || ictx.Err() != nil {
-						// EOF: ship what the batch holds and end the stream.
-						// Cancellation: the run's outcome is decided
-						// elsewhere; the partial batch is abandoned.
-						if err == io.EOF && b.n > 0 {
-							flush(b)
-						} else {
-							free <- b // cap nBatches: never blocks
-						}
-						storeProgress()
-						return
-					}
-					if pol == nil || !rr.CanRecover() {
-						// Stream-fatal: records already split still reach
-						// delivery ahead of the abort.
-						if b.n > 0 {
-							flush(b)
-						} else {
-							free <- b
-						}
-						setErr(err)
-						storeProgress()
-						return
-					}
-					// Recoverable: close out the batch with a tombstone item
-					// and wait for the collector's in-order verdict before
-					// touching the reader again.
-					fail := recordFailure(rr, err)
-					it := &b.items[b.n]
-					b.n++
-					it.res.reset()
-					it.res.Index, it.res.Path, it.res.Nodes = fail.Index, fail.Path, 0
-					it.res.splitNS, it.res.evalNS, it.res.events = splitNS, 0, sink.Drain()
-					it.res.fail = fail
-					it.res.await = verdict
-					flush(b)
-					select {
-					case d := <-verdict:
-						if d != nil {
-							// The collector aborted with the policy's error.
-							storeProgress()
-							return
-						}
-					case <-ictx.Done():
-						storeProgress()
-						return
-					}
-					if rerr := rr.Recover(); rerr != nil {
-						if ictx.Err() == nil {
-							setErr(rerr)
-						}
-						storeProgress()
-						return
-					}
-					b = nil
-					break // batch flushed with the tombstone; start a fresh one
-				}
-				it := &b.items[b.n]
-				b.n++
-				it.rec = rec
-				// fail/await must be cleared here: the worker's tombstone
-				// check reads them before safeEvaluate's reset runs.
-				it.res.fail, it.res.await = nil, nil
-				it.res.splitNS, it.res.evalNS, it.res.events = splitNS, 0, sink.Drain()
+			err := p.fill(b)
+			if b.n == 0 || (err != nil && err != io.EOF) {
+				// Nothing split, or canceled: the run's outcome is decided
+				// elsewhere, and a partial batch is abandoned.
+				free <- b // cap nBatches: never blocks
+				return
 			}
-			if b != nil {
-				flush(b)
+			// Decide before the handoff: the batch is the workers' after it.
+			last := &b.items[b.n-1].res
+			done := err != nil || last.fatal // io.EOF, or a fatal tombstone
+			wait := last.fail != nil && !last.fatal
+			if wait {
+				last.await = verdict
+			}
+			b.seq = seq
+			jobs <- b // cap nBatches: never blocks
+			if done {
+				return
+			}
+			if !wait {
+				continue
+			}
+			select {
+			case v := <-verdict:
+				if v != nil {
+					return // settle aborted with the policy's error
+				}
+			case <-ictx.Done():
+				return
+			}
+			if err := p.rr.Recover(); err != nil {
+				if ictx.Err() == nil {
+					prodErr = err
+				}
+				return
 			}
 		}
 	})
 
-	// Workers: evaluate batches; the mirror automaton and arenas inside cq
-	// are concurrency-safe (locked / pooled). All stage-timer updates are
-	// atomic (metrics.Timer), so concurrent flushes from workers and
-	// snapshot reads race-cleanly. A panicking evaluation is contained in
-	// safeEvaluate, so a worker goroutine never dies. Publishing is a ring
-	// store plus an optional buffered wakeup — never a blocking send — so
-	// workers drain jobs even when the collector has stopped consuming.
+	// Workers: evaluate batches; cq's evaluation arenas and mirror
+	// automaton are concurrency-safe, stage timers are atomic, and a
+	// panicking evaluation is contained in safeEvaluate, so a worker never
+	// dies. Publishing is a ring store plus an optional buffered wakeup —
+	// never a blocking send — so workers drain jobs even when the
+	// collector has stopped consuming.
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go pprof.Do(ictx, pprof.Labels("xpe.stage", "stream-eval", "xpe.worker", strconv.Itoa(w)), func(ictx context.Context) {
+		go pprof.Do(ictx, pprof.Labels("xpe.stage", "stream-eval", "xpe.worker", strconv.Itoa(w)), func(context.Context) {
 			defer wg.Done()
-			var t0 time.Time
 			for b := range jobs {
-				for i := 0; i < b.n; i++ {
-					it := &b.items[i]
-					if it.res.fail != nil {
-						continue // splitter tombstone: nothing to evaluate
-					}
-					if timed {
-						t0 = time.Now()
-					}
-					if evalErr := safeEvaluate(qs, &it.rec, &it.res, &cfg); evalErr != nil {
-						it.res.fail = evalErr
-					}
-					if timed {
-						d := time.Since(t0)
-						it.res.evalNS = int64(d)
-						if ms != nil {
-							ms.EvalTime.Observe(d)
-							ms.RecordLatency.Observe(d)
-						}
-					}
+				for i := range b.items[:b.n] {
+					p.eval(&b.items[i])
 				}
 				ring[b.seq&ringMask].Store(b)
 				select {
@@ -983,103 +888,14 @@ func runParallel(ctx context.Context, r io.Reader, ropts xmlhedge.RecordOptions,
 		close(workersDone)
 	}()
 
-	// Collector (this goroutine): consume the ring in sequence order, apply
-	// the error policy in document order, and deliver. Policy callbacks run
-	// here only, so a user-supplied OnRecordError is never invoked
-	// concurrently.
-	var stats Stats
-	var t0 time.Time
-	failed := false
-	// commit assembles a verdict-bearing record's trace from the
-	// contributions stamped on the Result by the producer and worker.
-	// Commits happen here only, so the ring sees records in delivery order
-	// and OnSlow is never invoked concurrently.
-	commit := func(r *Result, outcome string, cause error, deliverNS int64) {
-		if !tracing {
-			return
-		}
-		rt := trace.RecordTrace{Index: r.Index, Path: r.Path.String(),
-			SplitNS: r.splitNS, EvalNS: r.evalNS, DeliverNS: deliverNS,
-			Nodes: r.Nodes, Matches: len(r.Matches), Outcome: outcome,
-			Events: r.events}
-		if cause != nil {
-			rt.Error = cause.Error()
-		}
-		commitTrace(&cfg, rt)
-	}
-	// processItem routes one in-order result: the failure policy for
-	// tombstones and evaluation failures, the yield callback for healthy
-	// records. In failed mode everything is drained undelivered; a blocked
-	// tombstone producer is released by the cancellation, not by an answer.
-	processItem := func(r *Result) {
-		if failed {
-			return
-		}
-		if r.fail != nil {
-			rerr := r.fail.(*RecordError)
-			if _, isPanic := rerr.Err.(*PanicError); isPanic {
-				stats.Recovered++
-				if ms != nil {
-					ms.PanicsRecovered.Inc()
-				}
-			}
-			if errors.Is(rerr.Err, ErrRecordTimeout) {
-				stats.TimedOut++
-				if ms != nil {
-					ms.RecordsTimedOut.Inc()
-				}
-			}
-			var verdict error
-			if pol == nil {
-				verdict = r.fail
-			} else {
-				verdict = pol(rerr)
-			}
-			if verdict == nil {
-				stats.Skipped++
-				if ms != nil {
-					ms.RecordsSkipped.Inc()
-				}
-				commit(r, "skipped", rerr, 0)
-			} else {
-				commit(r, "aborted", verdict, 0)
-			}
-			if r.await != nil {
-				r.await <- verdict
-				r.await = nil
-			}
-			if verdict != nil {
-				setErr(verdict)
-				failed = true
-			}
-			return
-		}
-		stats.Records++
-		stats.Nodes += int64(r.Nodes)
-		stats.Matches += int64(len(r.Matches))
-		if timed {
-			t0 = time.Now()
-		}
-		err := yield(r)
-		var deliverNS int64
-		if timed {
-			d := time.Since(t0)
-			deliverNS = int64(d)
-			if ms != nil {
-				ms.DeliverTime.Observe(d)
-			}
-		}
-		commit(r, "ok", nil, deliverNS)
-		if err != nil {
-			if !errors.Is(err, ErrStop) {
-				setErr(err)
-			}
-			cancel()
-			failed = true
-		}
-	}
-	next := 0
-	for {
+	// Collector: consume the ring in sequence order and settle each record,
+	// so the policy and yield are never invoked concurrently. Once the run
+	// stops, the rest is drained unsettled; a producer blocked on a
+	// tombstone's verdict is released by the cancellation.
+	var err error
+	stopped := false
+collect:
+	for next := 0; ; {
 		b := ring[next&ringMask].Load()
 		if b == nil {
 			select {
@@ -1088,42 +904,31 @@ func runParallel(ctx context.Context, r io.Reader, ropts xmlhedge.RecordOptions,
 				if ring[next&ringMask].Load() == nil {
 					// All workers exited and the next slot is still empty:
 					// no batch with this sequence number is coming.
-					goto drained
+					break collect
 				}
 			}
 			continue
 		}
 		ring[next&ringMask].Store(nil)
 		next++
-		for i := 0; i < b.n; i++ {
-			processItem(&b.items[i].res)
-			b.items[i].res.events = nil
+		for i := 0; i < b.n && !stopped; i++ {
+			if stopped, err = p.settle(&b.items[i].res); stopped {
+				cancel()
+			}
 		}
-		// Recycle: free's capacity equals the total batch count, so the
-		// send cannot block even after the producer has exited.
-		free <- b
+		free <- b // cap nBatches: never blocks, even after the producer exits
 	}
-drained:
-	// Workers exit only after jobs closes or cancellation fires; either way
-	// the producer is on its way out, so this wait is bounded.
+	// Workers exit only after jobs closes, so the producer is on its way
+	// out and this wait is bounded.
 	<-prodDone
-	// Return idle batches to the pool for the next run. Batches the
-	// producer abandoned mid-cancellation are simply garbage-collected.
-	for drainedFree := false; !drainedFree; {
-		select {
-		case b := <-free:
-			batchPool.Put(b)
-		default:
-			drainedFree = true
-		}
+	for len(free) > 0 {
+		batchPool.Put(<-free) // warm batches for the next run
 	}
-	stats.Bytes = bytes.Load()
-	stats.Prefiltered = pre.Load()
-	errMu.Lock()
-	err := firstErr
-	errMu.Unlock()
+	if err == nil {
+		err = prodErr
+	}
 	if err == nil {
 		err = ctx.Err()
 	}
-	return stats, err
+	return err
 }

@@ -3,11 +3,14 @@ package stream
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"strings"
 	"testing"
+	"time"
 
 	"xpe/internal/core"
 	"xpe/internal/ha"
+	"xpe/internal/metrics"
 	"xpe/internal/xmlhedge"
 )
 
@@ -229,5 +232,48 @@ func TestRunLimitAborts(t *testing.T) {
 		func(r *Result) error { return nil })
 	if _, ok := err.(*xmlhedge.LimitError); !ok {
 		t.Fatalf("err = %v, want *xmlhedge.LimitError", err)
+	}
+}
+
+// TestRunAllocsFlatInRecords pins that a single-worker run allocates
+// nothing per record: the count per run is the same at N, 4N and 16N
+// records, with and without the prefilter skim, a record timeout and a
+// metrics sink.
+func TestRunAllocsFlatInRecords(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector drops sync.Pool items at random, perturbing AllocsPerRun")
+	}
+	cq := compile(t, ha.NewNames(), "[* ; a ; b .] (entry|feed)*")
+	// A collection mid-measurement would empty the arena pools and charge
+	// their refill to whichever run it hit.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	inputs := []string{feed(100), feed(400), feed(1600)}
+	for _, skim := range []bool{false, true} {
+		for _, timeout := range []time.Duration{0, time.Hour} {
+			for _, sunk := range []bool{false, true} {
+				cfg := Config{Workers: 1, Prefilter: PrefilterOff, RecordTimeout: timeout}
+				if skim {
+					cfg.Prefilter = PrefilterAuto
+				}
+				if sunk {
+					cfg.Metrics = &metrics.Metrics{}
+				}
+				var got []float64
+				for _, input := range inputs {
+					run := func() {
+						if _, err := Run(context.Background(), strings.NewReader(input), cq, cfg,
+							func(*Result) error { return nil }); err != nil {
+							t.Fatal(err)
+						}
+					}
+					run() // warm arenas, pools and the mirror automaton
+					got = append(got, testing.AllocsPerRun(10, run))
+				}
+				if got[0] != got[1] || got[1] != got[2] {
+					t.Errorf("skim=%v timeout=%v metrics=%v: allocs/run at 100, 400, 1600 records = %v, want equal",
+						skim, timeout, sunk, got)
+				}
+			}
+		}
 	}
 }

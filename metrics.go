@@ -21,9 +21,9 @@ type Stats = metrics.Snapshot
 // here (one atomic flush per document — the hot path itself carries no
 // atomics), and streaming runs without a per-run sink flush their splitter
 // and stage metrics here too. Safe to call concurrently with in-flight
-// Select / SelectStream / BulkSelect work: counters are atomic, so a
-// snapshot taken mid-run is a consistent-enough view (each cell is exact;
-// cross-cell skew is bounded by one in-flight document).
+// Select / SelectStream work: counters are atomic, so a snapshot taken
+// mid-run is a consistent-enough view (each cell is exact; cross-cell skew
+// is bounded by one in-flight document).
 func (e *Engine) Stats() Stats { return e.metrics.Snapshot() }
 
 // MetricsSink collects per-run streaming metrics. Attach one via

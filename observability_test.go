@@ -5,8 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"xpe/internal/hedge"
 )
 
 // streamRender runs SelectStream and renders every match as one line, so
@@ -109,7 +107,7 @@ func TestEngineStatsMerge(t *testing.T) {
 }
 
 // TestStatsConcurrentReaders hammers Engine.Stats against concurrent
-// SelectStream and BulkSelectCtx writers; run under -race this is the
+// SelectStream and in-memory Select writers; run under -race this is the
 // synchronization proof for the whole metrics path.
 func TestStatsConcurrentReaders(t *testing.T) {
 	docs, corpus := buildCorpus(t, 6)
@@ -121,8 +119,6 @@ func TestStatsConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hedges := make([]hedge.Hedge, len(docs))
-	copy(hedges, docs)
 
 	const iters = 15
 	var readers, writers sync.WaitGroup
@@ -164,17 +160,18 @@ func TestStatsConcurrentReaders(t *testing.T) {
 			}
 		}
 	}()
-	// Writer: bulk selects through the same compiled query.
-	writers.Add(1)
-	go func() {
-		defer writers.Done()
-		for i := 0; i < iters; i++ {
-			if _, err := q.Compiled().BulkSelectCtx(context.Background(), hedges, 4); err != nil {
-				t.Error(err)
-				return
+	// Writers: four in-memory evaluators sharing the compiled query.
+	for w := 0; w < 4; w++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := 0; i < iters; i++ {
+				for _, d := range docs {
+					q.Compiled().Select(d)
+				}
 			}
-		}
-	}()
+		}()
+	}
 
 	writers.Wait()
 	close(stop)

@@ -18,14 +18,16 @@ import (
 // workers, no record limits).
 type SelectOptions struct {
 	// Workers is the number of concurrent record-evaluation workers; <= 0
-	// means GOMAXPROCS, 1 forces the zero-allocation sequential loop.
-	// Matches are delivered in document order regardless.
+	// means GOMAXPROCS. 1 runs the same record pipeline inline on the
+	// calling goroutine. Matches are delivered in document order
+	// regardless.
 	Workers int
 	// BatchSize is the number of records per worker handoff in parallel
 	// runs: 0 picks the default (currently 32), 1 restores record-at-a-time
 	// handoff. Larger batches amortize scheduling costs per record but
 	// raise peak memory (O(largest record × BatchSize × (Workers+2))) and
-	// delivery latency on slow producers. Sequential runs ignore it.
+	// delivery latency on slow producers. A single-worker run hands off
+	// nothing and ignores it.
 	BatchSize int
 	// ReuseBuffers opts into zero-copy delivery: StreamMatch.Path, .Term,
 	// and .RecordPath are views into per-run buffers recycled between
@@ -411,11 +413,13 @@ func bufString(b []byte) string {
 // splitter pipeline, which an already-parsed document never enters; they
 // are ignored here.
 //
-// Cancellation is cooperative, checked between matches like
-// Query.SelectCtx. With Explain set every returned Match carries its
-// Explanation. A per-run Metrics sink receives the engine registry's delta
-// across the run — with concurrent runs on the same engine the delta
-// includes their overlapping activity, so isolate benchmarked runs.
+// Cancellation is cooperative: ctx is checked between matches, so the
+// traversal itself is not preempted (use SelectStream for fully cancelable
+// evaluation of large inputs). With Explain set every returned Match
+// carries its Explanation. A per-run Metrics sink receives the engine
+// registry's delta across the run — with concurrent runs on the same
+// engine the delta includes their overlapping activity, so isolate
+// benchmarked runs.
 func (e *Engine) Select(ctx context.Context, d *Document, q *Query, opts SelectOptions) ([]Match, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

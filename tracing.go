@@ -65,8 +65,8 @@ func (fr *FlightRecorder) commitDoc(query string, evalNS int64, nodes, matches i
 }
 
 // SetFlightRecorder attaches fr engine-wide: in-memory document
-// evaluations (Matches, Select, SelectCtx) commit a trace per call, and
-// streaming runs without a per-run SelectOptions.Trace commit their
+// evaluations (Matches, Select, Engine.Select) commit a trace per call,
+// and streaming runs without a per-run SelectOptions.Trace commit their
 // record traces, all into fr's ring. Pass nil to detach. Attachment is
 // atomic; evaluations in flight keep the recorder they started with.
 func (e *Engine) SetFlightRecorder(fr *FlightRecorder) { e.recorder.Store(fr) }

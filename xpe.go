@@ -21,10 +21,10 @@
 //	}
 //
 // Matches is a range-over-func iterator (stop early by breaking); Select
-// materializes the slice. Context-accepting variants (SelectCtx) and the
-// streaming entry point SelectStream — which evaluates a query over an XML
-// stream record by record in bounded memory, with worker-pool fan-out and
-// in-order delivery — accept a SelectOptions. Errors crossing the facade
+// materializes the slice. Engine.Select (in memory, under a context) and
+// the streaming entry point SelectStream — which evaluates a query over an
+// XML stream record by record in bounded memory, with worker-pool fan-out
+// and in-order delivery — accept a SelectOptions. Errors crossing the facade
 // are typed: *ParseError (malformed documents), *CompileError (bad queries
 // or grammars, with offset and excerpt), and *LimitError (streamed record
 // over a configured bound), all recoverable with errors.As.
@@ -34,10 +34,10 @@
 package xpe
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"iter"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -429,60 +429,24 @@ type Match struct {
 func (q *Query) Matches(d *Document) iter.Seq[Match] {
 	return func(yield func(Match) bool) {
 		fr := q.eng.recorder.Load()
-		if fr == nil {
-			q.compiled().SelectEach(d.hedge, func(p hedge.Path, n *hedge.Node) bool {
-				return yield(Match{Path: p.String(), Term: n.String(), Node: n})
-			})
-			return
+		var t0 time.Time
+		if fr != nil {
+			t0 = time.Now()
 		}
-		t0 := time.Now()
 		matches := 0
 		q.compiled().SelectEach(d.hedge, func(p hedge.Path, n *hedge.Node) bool {
 			matches++
 			return yield(Match{Path: p.String(), Term: n.String(), Node: n})
 		})
-		fr.commitDoc(q.src, int64(time.Since(t0)), d.Size(), matches)
+		if fr != nil {
+			fr.commitDoc(q.src, int64(time.Since(t0)), d.Size(), matches)
+		}
 	}
 }
 
 // Select is Matches materialized: the located nodes in document order.
-func (q *Query) Select(d *Document) []Match {
-	var out []Match
-	for m := range q.Matches(d) {
-		out = append(out, m)
-	}
-	return out
-}
-
-// SelectCtx is Select under a context: evaluation stops at the first
-// located node found after ctx is canceled, returning ctx.Err(). (The
-// traversal itself is not preempted between matches; use SelectStream for
-// fully cancelable evaluation of large inputs.)
-func (q *Query) SelectCtx(ctx context.Context, d *Document) ([]Match, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	fr := q.eng.recorder.Load()
-	var t0 time.Time
-	if fr != nil {
-		t0 = time.Now()
-	}
-	var out []Match
-	q.compiled().SelectEach(d.hedge, func(p hedge.Path, n *hedge.Node) bool {
-		if ctx.Err() != nil {
-			return false
-		}
-		out = append(out, Match{Path: p.String(), Term: n.String(), Node: n})
-		return true
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if fr != nil {
-		fr.commitDoc(q.src, int64(time.Since(t0)), d.Size(), len(out))
-	}
-	return out, nil
-}
+// Engine.Select is the form under a context and options.
+func (q *Query) Select(d *Document) []Match { return slices.Collect(q.Matches(d)) }
 
 // Binding is one captured variable of a match.
 type Binding struct {

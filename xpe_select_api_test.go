@@ -2,6 +2,7 @@ package xpe
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -167,8 +168,8 @@ func TestEngineSelect(t *testing.T) {
 	t.Run("canceled", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := eng.Select(ctx, doc, q, SelectOptions{}); err == nil {
-			t.Error("Select with a canceled context returned nil error")
+		if _, err := eng.Select(ctx, doc, q, SelectOptions{}); !errors.Is(err, context.Canceled) {
+			t.Errorf("Select with a canceled context: err = %v, want context.Canceled", err)
 		}
 	})
 }

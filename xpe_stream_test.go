@@ -261,27 +261,6 @@ func TestMatchesIterator(t *testing.T) {
 	}
 }
 
-func TestSelectCtx(t *testing.T) {
-	eng := NewEngine()
-	doc, err := eng.ParseXMLString("<doc><sec><fig/><tab/></sec></doc>")
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := eng.CompileQuery("[* ; fig ; tab .] (sec|doc)*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := q.SelectCtx(context.Background(), doc)
-	if err != nil || len(ms) != 1 {
-		t.Fatalf("ms=%v err=%v", ms, err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := q.SelectCtx(ctx, doc); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
 func TestCompileAndParseTypedErrors(t *testing.T) {
 	eng := NewEngine()
 
