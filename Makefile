@@ -36,41 +36,45 @@ fmt:
 soak:
 	$(GO) test -race -count=1 -run TestSoak ./internal/serve/ -soak 30s -v
 
-# fuzz is the opt-in fuzzing run, excluded from check like soak: each of
-# the four xmlhedge fuzz targets — the splitter against encoding/xml, the
-# prefiltered reader against the unfiltered one, the reader under resource
-# limits, and skip-policy recovery — runs for 60 seconds. A failing input
-# is written under internal/xmlhedge/testdata/fuzz; commit it as a
-# regression seed once fixed.
+# fuzz is the opt-in fuzzing run, excluded from check like soak: each
+# fuzz target runs for 60 seconds. The four xmlhedge targets fuzz the
+# splitter against encoding/xml, the prefiltered reader against the
+# unfiltered one, the reader under resource limits, and skip-policy
+# recovery. FuzzServeFeed posts each input to a served feed over HTTP and
+# requires the NDJSON of the library's shared pass; it starts a server per
+# input, so an input that reaches new code gets ten minimizing runs rather
+# than a minute of them. A failing input is written under the package's
+# testdata/fuzz; commit it as a regression seed once fixed.
 fuzz:
 	@for t in FuzzSplitVsParse FuzzPrefilterDifferential FuzzRecordReader FuzzRecordReaderSkip; do \
 		echo "fuzz: $$t"; \
 		$(GO) test -run NONE -fuzz "^$$t\$$" -fuzztime 60s ./internal/xmlhedge/ || exit 1; \
 	done
+	@echo "fuzz: FuzzServeFeed"
+	$(GO) test -run NONE -fuzz '^FuzzServeFeed$$' -fuzztime 60s -fuzzminimizetime 10x ./internal/serve/
 
 # check is the CI gate: formatting, static analysis (go vet ./...), the
-# full test suite, one race-detector run over every package, a quick
-# perf-regression run with the disabled-tracing budget enforced, the
-# serving-telemetry budget, and the streaming throughput gates against the
-# committed baseline and the multi-seed trajectory (the recorded baseline
-# in BENCH_core.json and the BENCH_history.ndjson entries come from the
-# non-quick runs).
+# full test suite, one race-detector run over every package, the two ≤1%
+# timing budgets (disabled tracing and serving telemetry), and the one
+# throughput gate, bench-gate. Exact properties (allocations, transitions
+# per node, match sets) are pinned by the test suite itself.
 check: fmt vet build test race trace-overhead telemetry-overhead bench-gate
 
 bench:
 	$(GO) test -bench . -benchmem -run NONE ./...
 
-# bench-json regenerates the perf-regression report. Quick mode (default
-# here) keeps CI fast; run `go run ./cmd/xpebench -bench-json -out
-# BENCH_core.json` for the recorded baseline.
+# bench-json writes the quick report to BENCH_core.json. The committed
+# report is the full run, `go run ./cmd/xpebench -bench-json -out
+# BENCH_core.json`; it records ratios and costs for reading, and no gate
+# reads it. Not part of check.
 bench-json:
 	$(GO) run ./cmd/xpebench -bench-json -quick -out BENCH_core.json
 
-# trace-overhead is bench-json plus the tracing budget: the per-record
-# tracing hooks must cost at most 1% while disabled (no flight recorder,
-# no slow-record callback attached). It measures only — the committed
-# BENCH_core.json baseline is left alone so bench-gate compares against
-# the recorded numbers, not this run's.
+# trace-overhead runs the quick report to /dev/null and enforces the
+# tracing budget: the per-record tracing hooks must cost at most 1% while
+# disabled (no flight recorder, no slow-record callback attached). Its
+# exact twin is TestRunAllocsFlatInRecords in internal/stream, which pins
+# disabled tracing at zero allocations per record.
 trace-overhead:
 	$(GO) run ./cmd/xpebench -bench-json -quick -assert-trace-overhead 1 -out /dev/null
 
@@ -83,21 +87,27 @@ trace-overhead:
 telemetry-overhead:
 	$(GO) run ./cmd/xpebench -assert-telemetry-overhead 1 -quick
 
-# bench-gate is the streaming perf-regression gate, two judgements in
-# one run set: every stream-* workload recorded in BENCH_core.json is
-# re-measured (best of five fresh runs each, same sizes and worker
-# counts) and fails when any drops more than 10% nodes/sec below the
-# recorded baseline; then the trajectory workloads are re-measured at
-# every recorded seed and judged against the pooled BENCH_history.ndjson
-# entries under the effect-size rule (mean drop past 10%, below every
-# recorded run, all seeds agreeing).
+# bench-gate is the one throughput gate. Eleven workloads — stream-100k
+# at 1, 4, 8 and 16 workers, degraded clean and 1%-poisoned, prefilter
+# off and on, shared pass over 8 queries and 8 independent passes, and
+# the in-memory select-100k control — are measured at seeds 42, 123 and
+# 456, each figure the best of three 200 ms windows. Each workload is
+# judged against its current epoch in BENCH_history.ndjson: the entries
+# recorded on a host with the same GOMAXPROCS whose mean lies within 25%
+# of the median mean of the newest three. A workload fails only when its
+# mean drops more than 25%, below every run the epoch recorded, with every
+# seed agreeing; the gate then measures the failing workloads again and
+# fails only on those that fail a second time.
 bench-gate:
-	$(GO) run ./cmd/xpebench -assert-baseline BENCH_core.json
 	$(GO) run ./cmd/xpebench -assert-history BENCH_history.ndjson
 
-# bench-history appends a dated multi-seed trajectory entry to
-# BENCH_history.ndjson (run after a deliberate perf change, then commit
-# the file alongside the change).
+# bench-history appends a dated multi-seed entry to BENCH_history.ndjson,
+# with the host's GOMAXPROCS and effective core count. A perf PR records
+# its epoch this way: three or more entries on its final tree, in
+# separate sessions at least 20 minutes apart, committed with the change.
+# A change that moves a workload's mean by more than 25% starts a new
+# epoch once its entries are the majority of the newest three; older lines
+# are never edited.
 bench-history:
 	$(GO) run ./cmd/xpebench -record-history BENCH_history.ndjson
 

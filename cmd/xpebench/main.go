@@ -5,34 +5,33 @@
 // Usage:
 //
 //	xpebench [-experiment all|E1|E2|...] [-quick]
-//	xpebench -bench-json [-quick] [-out BENCH_core.json]
-//	xpebench -assert-baseline BENCH_core.json [-baseline-max-drop 10]
-//	xpebench -record-history BENCH_history.ndjson [-seeds 42,123,456]
-//	xpebench -assert-history BENCH_history.ndjson [-history-max-drop 10]
+//	xpebench -bench-json [-quick] [-out BENCH_core.json] [-assert-trace-overhead 1]
+//	xpebench -record-history BENCH_history.ndjson
+//	xpebench -assert-history BENCH_history.ndjson
 //	xpebench -assert-telemetry-overhead 1 [-quick]
 //
-// With -bench-json the experiment tables are skipped; instead the
-// perf-regression workloads run (in-memory select with and without a
-// metrics sink, streaming with 1/4/8/16 workers, and the engine's
-// compiled-query cache: cold compile vs cache-hit recompile vs the
-// unchanged-generation fast path) and the report — ns/op, allocs/op,
-// nodes/sec, metrics overhead, cache-hit speedup, fast-path overhead,
-// scaling efficiency per worker count, peak RSS — is written as JSON to
-// -out (default stdout).
+// With -bench-json the experiment tables are skipped; instead the report
+// workloads run (in-memory select with and without a metrics sink and
+// with the disabled tracing hooks, every stream corpus the trajectory
+// gates, lazy versus eager compilation, and the engine's compiled-query
+// cache: cold compile vs cache-hit recompile vs the unchanged-generation
+// fast path) and the report — ns/op, allocs/op, nodes/sec, the overhead
+// and speedup ratios, peak RSS — is written as JSON to -out (default
+// stdout). No gate reads the report. -assert-trace-overhead fails the run
+// when the disabled-tracing overhead exceeds the budget (`make
+// trace-overhead`).
 //
-// With -assert-baseline the stream-* workloads recorded in the given
-// report are re-measured at their recorded sizes and worker counts and
-// the run exits nonzero when any falls more than -baseline-max-drop
-// percent below its recorded nodes/sec (`make bench-gate`).
-//
-// With -record-history / -assert-history the trajectory workloads are
-// measured at every generator seed (-seeds; each per-seed figure the
-// best of three windows, so correlated machine-load dips cannot mimic
-// a regression) and either appended to the
-// NDJSON trajectory file as a dated entry or judged against it under the
-// effect-size rule (see internal/experiments/multiseed.go): a failure
-// needs a mean drop past -history-max-drop percent, below every
-// recorded run, with every seed agreeing on the direction.
+// With -record-history / -assert-history the gated workloads — the ten
+// stream corpora and the in-memory select control — are measured at seeds
+// 42, 123 and 456 (each per-seed figure the best of three windows, so
+// correlated machine-load dips cannot mimic a regression) and either
+// appended to the NDJSON trajectory file as a dated entry, with the host's
+// GOMAXPROCS and effective core count, or judged against each workload's
+// current epoch in it (`make bench-gate`, see
+// internal/experiments/multiseed.go): a failure needs a mean drop past 25%,
+// below every run the epoch recorded, with every seed agreeing on the
+// direction, in the first pass and again when the failing workloads are
+// measured a second time.
 //
 // With -assert-telemetry-overhead the serving telemetry's end-to-end
 // cost is measured — identical feed posts through two serve.Servers,
@@ -44,15 +43,11 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"runtime"
-	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -67,77 +62,34 @@ import (
 func main() {
 	which := flag.String("experiment", "all", "experiment id (E1..E8) or 'all'")
 	quick := flag.Bool("quick", false, "smaller sizes for a fast run")
-	benchJSON := flag.Bool("bench-json", false, "run the perf-regression workloads and emit JSON instead of tables")
+	benchJSON := flag.Bool("bench-json", false, "run the report workloads and emit JSON instead of tables")
 	out := flag.String("out", "", "output file for -bench-json (default stdout)")
 	maxTraceOverhead := flag.Float64("assert-trace-overhead", 0,
 		"with -bench-json: exit nonzero if the disabled-tracing overhead exceeds this many percent (0 = no gate)")
-	assertBaseline := flag.String("assert-baseline", "",
-		"re-measure the stream-* workloads recorded in this baseline report and exit nonzero on a throughput regression")
-	maxDrop := flag.Float64("baseline-max-drop", 10,
-		"with -assert-baseline: the largest tolerated nodes/sec drop, in percent")
-	seeds := flag.String("seeds", "42,123,456",
-		"comma-separated generator seeds for -record-history / -assert-history")
 	recordHistory := flag.String("record-history", "",
-		"measure the trajectory workloads at every seed and append a dated entry to this NDJSON file")
+		"measure the gated workloads at every seed and append a dated entry to this NDJSON file")
 	assertHistory := flag.String("assert-history", "",
-		"measure the trajectory workloads at every seed and exit nonzero on a consistent regression against this NDJSON trajectory")
-	historyMaxDrop := flag.Float64("history-max-drop", 10,
-		"with -assert-history: the smallest mean drop, in percent, a trajectory failure needs")
+		"measure the gated workloads at every seed and exit nonzero on a consistent regression against each one's current epoch in this NDJSON trajectory")
 	maxTelemetryOverhead := flag.Float64("assert-telemetry-overhead", 0,
 		"measure the serving telemetry's end-to-end cost and exit nonzero if it exceeds this many percent (0 = no gate)")
 	flag.Parse()
 
 	logf := func(format string, a ...any) { fmt.Fprintf(os.Stderr, format, a...) }
 
-	if *assertBaseline != "" {
-		data, err := os.ReadFile(*assertBaseline)
-		if err != nil {
-			fatal(err)
-		}
-		var base experiments.BenchReport
-		if err := json.Unmarshal(data, &base); err != nil {
-			fatal(fmt.Errorf("%s: %w", *assertBaseline, err))
-		}
-		// Best of five fresh runs per workload: the baseline records
-		// best-window figures, and a genuine regression slows every run
-		// while a scheduler stall only hits some.
-		err = experiments.GateStreamBaseline(&base, *maxDrop, 5, logf)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "xpebench: stream throughput within %.0f%% of the %s baseline\n",
-			*maxDrop, *assertBaseline)
-		if !*benchJSON {
-			return
-		}
-	}
-
 	if *recordHistory != "" || *assertHistory != "" {
-		seedList, err := parseSeeds(*seeds)
+		entry, err := experiments.MeasureHistory(*quick, logf)
 		if err != nil {
 			fatal(err)
-		}
-		stats, err := experiments.MeasureStreamSeeds(*quick, seedList, logf)
-		if err != nil {
-			fatal(err)
-		}
-		entry := experiments.HistoryEntry{
-			Date:      time.Now().UTC().Format("2006-01-02"),
-			GoVersion: runtime.Version(),
-			GOOS:      runtime.GOOS,
-			GOARCH:    runtime.GOARCH,
-			Quick:     *quick,
-			Workloads: stats,
 		}
 		if *assertHistory != "" {
 			hist, err := experiments.LoadHistory(*assertHistory)
 			if err != nil {
 				fatal(err)
 			}
-			if err := experiments.GateHistory(hist, entry, *historyMaxDrop, logf); err != nil {
+			if err := experiments.AssertHistory(hist, entry, logf); err != nil {
 				fatal(err)
 			}
-			fmt.Fprintf(os.Stderr, "xpebench: multi-seed trajectory healthy against %s\n", *assertHistory)
+			fmt.Fprintf(os.Stderr, "xpebench: every workload within its epoch of %s\n", *assertHistory)
 		}
 		if *recordHistory != "" {
 			if err := experiments.AppendHistory(*recordHistory, entry); err != nil {
@@ -314,34 +266,9 @@ func cacheBench(rep *experiments.BenchReport, quick bool) error {
 	}
 	rep.Results = append(rep.Results, direct, revalidated)
 	if len(ratios) > 0 {
-		sort.Float64s(ratios)
-		m := ratios[len(ratios)/2]
-		if len(ratios)%2 == 0 {
-			m = (ratios[len(ratios)/2-1] + ratios[len(ratios)/2]) / 2
-		}
-		rep.FastPathOverheadPct = (m - 1) * 100
+		rep.FastPathOverheadPct = (experiments.Median(ratios) - 1) * 100
 	}
 	return nil
-}
-
-// parseSeeds parses the -seeds list ("42,123,456").
-func parseSeeds(s string) ([]int64, error) {
-	var out []int64
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.ParseInt(part, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("-seeds: %q is not an integer", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-seeds: no seeds in %q", s)
-	}
-	return out, nil
 }
 
 // gateTelemetryOverhead applies the budget with the same effect-size
@@ -488,11 +415,7 @@ func telemetryOverhead(quick bool) (telemetryCost, error) {
 			ratios = append(ratios, en/dis)
 		}
 	}
-	sort.Float64s(ratios)
-	m := ratios[len(ratios)/2]
-	if len(ratios)%2 == 0 {
-		m = (ratios[len(ratios)/2-1] + ratios[len(ratios)/2]) / 2
-	}
+	m := experiments.Median(ratios) // sorts ratios
 	p25 := ratios[len(ratios)/4]
 	if os.Getenv("XPEBENCH_DEBUG") != "" {
 		fmt.Fprintf(os.Stderr, "xpebench: telemetry pairs=%d p10=%.4f p25=%.4f p50=%.4f p90=%.4f\n",

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"xpe/internal/gen"
@@ -12,6 +13,12 @@ import (
 // compileDocQuery compiles a query over the gen.Document vocabulary.
 func compileDocQuery(t *testing.T, src string) *CompiledQuery {
 	t.Helper()
+	return compileDocQueryOpt(t, src, Options{})
+}
+
+// compileDocQueryOpt is compileDocQuery with explicit compile options.
+func compileDocQueryOpt(t *testing.T, src string, opts Options) *CompiledQuery {
+	t.Helper()
 	names := ha.NewNames()
 	for _, s := range []string{"doc", "section", "figure", "table", "para"} {
 		names.Syms.Intern(s)
@@ -21,59 +28,98 @@ func compileDocQuery(t *testing.T, src string) *CompiledQuery {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cq, err := CompileQuery(q, names)
+	cq, err := CompileQueryOpt(q, names, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return cq
 }
 
-// TestMetricsLinearity is the observable form of Theorems 3–5: for a fixed
-// compiled query, nodes visited must equal the document size exactly and
-// automaton transitions must scale linearly with it — the per-node
-// transition cost stays within a constant band as documents grow 16×.
+// TestMetricsLinearity is the observable form of Theorems 3–5 (A1/C1):
+// for a fixed compiled query, nodes visited must equal the document size
+// exactly and automaton transitions must scale linearly with it — the
+// per-node transition cost stays within a constant band as documents grow
+// 16×. It runs over an eager and a LazyDeterminize compilation of the same
+// query: the lazy path steps the same automata, only materializing their
+// states on demand, so the two must count identical nodes, marks and
+// transitions at every size, and a second evaluation of a document on the
+// warm lazy compilation must build no new state.
 func TestMetricsLinearity(t *testing.T) {
-	cq := compileDocQuery(t, "select(figure*; [* ; section ; *] (section|doc)*)")
-	var sink metrics.Eval
-	cq.SetMetrics(&sink)
-
-	var ratios []float64
-	for _, size := range []int{2000, 8000, 32000} {
-		doc := gen.Document(gen.DefaultDocConfig(), size)
-		n := int64(doc.Size())
-		before := sink.Snapshot()
-		res := cq.Select(doc)
-		d := sink.Snapshot()
-
-		if docs := d.Docs - before.Docs; docs != 1 {
-			t.Fatalf("size %d: docs delta = %d, want 1", size, docs)
-		}
-		if nodes := d.NodesVisited - before.NodesVisited; nodes != n {
-			t.Errorf("size %d: nodes visited = %d, want exactly %d", size, nodes, n)
-		}
-		if marks := d.MarksEmitted - before.MarksEmitted; marks != int64(len(res.Paths)) {
-			t.Errorf("size %d: marks = %d, want %d located", size, marks, len(res.Paths))
-		}
-		trans := d.Transitions - before.Transitions
-		if trans <= 0 {
-			t.Fatalf("size %d: transitions = %d, want > 0", size, trans)
-		}
-		ratios = append(ratios, float64(trans)/float64(n))
+	const src = "select(figure*; [* ; section ; *] (section|doc)*)"
+	sizes := []int{2000, 8000, 32000}
+	type steps struct{ nodes, marks, transitions int64 }
+	counted := map[bool][]steps{}
+	for _, tc := range []struct {
+		name string
+		lazy bool
+	}{{"eager", false}, {"lazy", true}} {
+		lazy := tc.lazy
+		t.Run(tc.name, func(t *testing.T) {
+			cq := compileDocQueryOpt(t, src, Options{LazyDeterminize: lazy})
+			if cq.Lazy() != lazy {
+				t.Fatalf("Lazy() = %v, want %v", cq.Lazy(), lazy)
+			}
+			var sink metrics.Eval
+			cq.SetMetrics(&sink)
+			// eval returns one evaluation's counted steps, the lazy states
+			// the sink saw built, and the located count.
+			eval := func(doc hedge.Hedge) (steps, int64, int) {
+				before := sink.Snapshot()
+				res := cq.Select(doc)
+				d := sink.Snapshot()
+				if docs := d.Docs - before.Docs; docs != 1 {
+					t.Fatalf("docs delta = %d, want 1", docs)
+				}
+				got := steps{d.NodesVisited - before.NodesVisited, d.MarksEmitted - before.MarksEmitted,
+					d.Transitions - before.Transitions}
+				return got, d.LazyStates - before.LazyStates, len(res.Paths)
+			}
+			var ratios []float64
+			for _, size := range sizes {
+				doc := gen.Document(gen.DefaultDocConfig(), size)
+				n := int64(doc.Size())
+				got, built, located := eval(doc)
+				if lazy && size == sizes[0] && built == 0 {
+					t.Fatal("the cold lazy compilation built no state on its first document")
+				}
+				if got.nodes != n {
+					t.Errorf("size %d: nodes visited = %d, want exactly %d", size, got.nodes, n)
+				}
+				if got.marks != int64(located) {
+					t.Errorf("size %d: marks = %d, want %d located", size, got.marks, located)
+				}
+				if got.transitions <= 0 {
+					t.Fatalf("size %d: transitions = %d, want > 0", size, got.transitions)
+				}
+				counted[lazy] = append(counted[lazy], got)
+				ratios = append(ratios, float64(got.transitions)/float64(n))
+				if !lazy {
+					continue
+				}
+				warm := cq.LazyStats().StatesBuilt
+				again, sinkBuilt, _ := eval(doc)
+				if again != got {
+					t.Errorf("size %d: warm re-evaluation counted %+v, first %+v", size, again, got)
+				}
+				if grew := cq.LazyStats().StatesBuilt - warm; grew != 0 || sinkBuilt != 0 {
+					t.Errorf("size %d: warm re-evaluation built %d lazy states (sink %d), want 0",
+						size, grew, sinkBuilt)
+				}
+			}
+			lo, hi := slices.Min(ratios), slices.Max(ratios)
+			// Linear scaling means a constant per-node cost; allow a modest
+			// band for shape variation between generated documents. A
+			// super-linear evaluator would blow past this immediately (16×
+			// size → ~16× ratio).
+			if hi/lo > 1.5 {
+				t.Errorf("transitions per node drifted %v (max/min %.2f > 1.5): evaluation is not linear", ratios, hi/lo)
+			}
+		})
 	}
-	min, max := ratios[0], ratios[0]
-	for _, r := range ratios[1:] {
-		if r < min {
-			min = r
+	for i, size := range sizes {
+		if e, l := counted[false], counted[true]; i < len(e) && i < len(l) && e[i] != l[i] {
+			t.Errorf("size %d: eager counted %+v, lazy %+v; want equal", size, e[i], l[i])
 		}
-		if r > max {
-			max = r
-		}
-	}
-	// Linear scaling means a constant per-node cost; allow a modest band
-	// for shape variation between generated documents. A super-linear
-	// evaluator would blow past this immediately (16× size → ~16× ratio).
-	if max/min > 1.5 {
-		t.Errorf("transitions per node drifted %v (max/min %.2f > 1.5): evaluation is not linear", ratios, max/min)
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"xpe/internal/metrics"
 	"xpe/internal/stream"
 	"xpe/internal/trace"
-	"xpe/internal/xmlhedge"
 )
 
 // BenchResult is one benchmark workload's measurements, in the units Go's
@@ -33,9 +32,10 @@ type BenchResult struct {
 	NodesPerSec float64 `json:"nodes_per_sec,omitempty"`
 }
 
-// BenchReport is the layout of BENCH_core.json: the perf-regression
-// baseline for the in-memory and streaming evaluation paths, plus the
-// measured cost of attaching a metrics sink.
+// BenchReport is the layout of BENCH_core.json: a point-in-time report on
+// the in-memory and streaming evaluation paths, plus the measured costs of
+// metrics, tracing, telemetry and fault containment. No gate reads it; the
+// throughput gate is the multi-seed trajectory (GateHistory).
 type BenchReport struct {
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
@@ -65,7 +65,7 @@ type BenchReport struct {
 	// (resync scan + per-record fresh decoders), not the happy path.
 	DegradedOverheadPct float64 `json:"degraded_overhead_pct"`
 	// PrefilterSpeedup is the stream-prefilter-off / stream-prefilter-on
-	// ns/op ratio over the low-selectivity corpus (15 of 16 records lack
+	// ns/op ratio over the low-selectivity corpus (31 of 32 records lack
 	// the query's required labels): how much throughput the raw-byte
 	// prefilter cascade buys when most records cannot match. Median of
 	// paired rounds.
@@ -101,16 +101,9 @@ type BenchReport struct {
 	// DisableTelemetry, interleaved in paired rounds — the median pair
 	// ratio. Measured by cmd/xpebench (the serving layer sits above this
 	// package); gated ≤ 1% by `make telemetry-overhead`.
-	TelemetryOverheadPct float64 `json:"telemetry_overhead_pct"`
-	// ScalingEfficiency maps a worker count ("4", "8", "16") to that
-	// run's nodes/sec divided by the single-worker run's, over the same
-	// stream-* workload. On a box with real parallelism the w4 figure
-	// approaches min(4, cores); on one core the interesting property is
-	// that it stays near 1.0 — the batched pipeline's coordination
-	// overhead, not speedup, is what a single-core figure prices.
-	ScalingEfficiency map[string]float64 `json:"scaling_efficiency,omitempty"`
-	PeakRSSBytes      int64              `json:"peak_rss_bytes"`
-	Results           []BenchResult      `json:"results"`
+	TelemetryOverheadPct float64       `json:"telemetry_overhead_pct"`
+	PeakRSSBytes         int64         `json:"peak_rss_bytes"`
+	Results              []BenchResult `json:"results"`
 }
 
 // Measure times fn until minTime has elapsed (at least twice) and reports
@@ -179,17 +172,15 @@ func countEach(cq *core.CompiledQuery, doc hedge.Hedge) int {
 	return n
 }
 
-// BenchJSON runs the perf-regression workloads and returns the report.
-// quick shrinks sizes and time budgets for CI (`make bench-json`); the full
-// run is the recorded baseline in BENCH_core.json.
+// BenchJSON runs the report's workloads and returns the report. quick
+// shrinks sizes and time budgets (`make bench-json`, and `make
+// trace-overhead` in CI); the full run is the committed BENCH_core.json.
 func BenchJSON(quick bool) (*BenchReport, error) {
 	minTime := 300 * time.Millisecond
 	memSizes := []int{10000, 100000}
-	streamSize := 100000
 	if quick {
 		minTime = 40 * time.Millisecond
 		memSizes = []int{10000}
-		streamSize = 20000
 	}
 	rep := &BenchReport{
 		GoVersion: runtime.Version(),
@@ -249,7 +240,7 @@ func BenchJSON(quick bool) (*BenchReport, error) {
 			func() { countEach(cq, doc) }))
 	}
 	rep.Results = append(rep.Results, withSink)
-	rep.MetricsOverheadPct = (median(ratios) - 1) * 100
+	rep.MetricsOverheadPct = (Median(ratios) - 1) * 100
 
 	// Disabled-tracing overhead: the pipeline's per-record trace path when
 	// nothing is attached is one sink nil-check, one boolean, and the
@@ -327,182 +318,56 @@ func BenchJSON(quick bool) (*BenchReport, error) {
 		}
 		return res
 	}
-	traceBase := traceRes("select-"+sizeName(memSizes[0])+"-notrace", median(bareNS), len(bareNS))
-	traceHooked := traceRes("select-"+sizeName(memSizes[0])+"-trace-disabled", median(hookedNS), len(hookedNS))
+	traceBase := traceRes("select-"+sizeName(memSizes[0])+"-notrace", Median(bareNS), len(bareNS))
+	traceHooked := traceRes("select-"+sizeName(memSizes[0])+"-trace-disabled", Median(hookedNS), len(hookedNS))
 	rep.Results = append(rep.Results, traceBase, traceHooked)
-	rep.TraceOverheadPct = (median(pairRatios) - 1) * 100
+	rep.TraceOverheadPct = (Median(pairRatios) - 1) * 100
 
-	// Streaming: split + evaluate + deliver over a serialized document.
-	streamDoc := gen.Document(gen.DefaultDocConfig(), streamSize)
-	xmlStr, err := xmlhedge.ToString(streamDoc)
+	// Streaming: every stream corpus the trajectory gates, built by the
+	// same builders at seed 1 and measured round-robin, each row the best
+	// of its rounds. A pair measured side by side in one round shares that
+	// round's machine conditions, so the degraded, prefilter and shared-pass
+	// ratios are medians of per-round ratios.
+	feeds, _, err := gatedFeeds(quick, 1)
 	if err != nil {
 		return nil, err
 	}
-	xmlBytes := []byte(xmlStr)
-	rep.ScalingEfficiency = map[string]float64{}
-	var streamW1 float64
-	for _, workers := range []int{1, 4, 8, 16} {
-		w := workers
-		// Best of several short rounds, the same discipline the degraded
-		// pair and the bench-gate re-measurement use: these figures are the
-		// committed regression baseline, and a single long window is one
-		// sample of the box's noise where the best round is a stable
-		// estimate of capability.
-		var best BenchResult
-		for round := 0; round < rounds; round++ {
-			r := Measure(
-				"stream-"+sizeName(streamSize)+"-w"+strconv.Itoa(w),
-				int64(streamDoc.Size()), pairTime, func() {
-					_, err := stream.Run(context.Background(), bytes.NewReader(xmlBytes), cq,
-						stream.Config{Workers: w}, func(*stream.Result) error { return nil })
-					if err != nil && err != io.EOF {
-						panic(err)
-					}
-				})
-			if round == 0 || r.NsPerOp < best.NsPerOp {
-				best = r
-			}
-		}
-		rep.Results = append(rep.Results, best)
-		if w == 1 {
-			streamW1 = best.NodesPerSec
-		} else if streamW1 > 0 {
-			rep.ScalingEfficiency[strconv.Itoa(w)] = best.NodesPerSec / streamW1
-		}
+	byName := map[string]int{}
+	for i, f := range feeds {
+		byName[f.name] = i
 	}
-
-	// Degraded streaming: a corpus of records split on "doc" with 1% of the
-	// records' markup broken, drained under the skip policy, paired against
-	// the identical corpus clean. Rounds alternate so scheduling noise
-	// cancels in the ratio (same discipline as the metrics overhead above).
-	recCount, recSize := 100, streamSize/100
-	if quick {
-		recCount, recSize = 50, streamSize/50
-	}
-	records := make([]string, recCount)
-	var degradedNodes int64
-	for i := range records {
-		cfg := gen.DefaultDocConfig()
-		cfg.Seed = int64(i + 1)
-		d := gen.Document(cfg, recSize)
-		degradedNodes += int64(d.Size())
-		s, err := xmlhedge.ToString(d)
-		if err != nil {
-			return nil, err
-		}
-		records[i] = s
-	}
-	// The poison breaks the record's own markup only: no "<doc" byte
-	// sequence survives past the error point, so resync lands exactly on
-	// the next record.
-	const poison = "<doc><section><figure></table></section></doc>"
-	poisonEvery := recCount / max(1, recCount/100)
-	buildFeed := func(poisoned bool) []byte {
-		var b bytes.Buffer
-		b.WriteString("<corpus>")
-		for i, r := range records {
-			if poisoned && i%poisonEvery == poisonEvery/2 {
-				b.WriteString(poison)
-			} else {
-				b.WriteString(r)
-			}
-		}
-		b.WriteString("</corpus>")
-		return b.Bytes()
-	}
-	cleanFeed, poisonFeed := buildFeed(false), buildFeed(true)
-	degCfg := stream.Config{
-		Split:         "doc",
-		Workers:       4,
-		OnRecordError: func(*stream.RecordError) error { return nil },
-	}
-	runFeed := func(feed []byte) {
-		_, err := stream.Run(context.Background(), bytes.NewReader(feed), cq,
-			degCfg, func(*stream.Result) error { return nil })
-		if err != nil {
-			panic(err)
-		}
-	}
-	var degClean, degPoison BenchResult
-	var degRatios []float64
+	best := make([]BenchResult, len(feeds))
+	roundNs := make([][]float64, len(feeds))
 	for round := 0; round < rounds; round++ {
-		r := Measure("stream-degraded-clean", degradedNodes, pairTime,
-			func() { runFeed(cleanFeed) })
-		if round == 0 || r.NsPerOp < degClean.NsPerOp {
-			degClean = r
+		for i, f := range feeds {
+			r := f.measure(cq, pairTime)
+			if round == 0 || r.NsPerOp < best[i].NsPerOp {
+				best[i] = r
+			}
+			roundNs[i] = append(roundNs[i], r.NsPerOp)
 		}
-		p := Measure("stream-degraded-1pct", degradedNodes, pairTime,
-			func() { runFeed(poisonFeed) })
-		if round == 0 || p.NsPerOp < degPoison.NsPerOp {
-			degPoison = p
+	}
+	rep.Results = append(rep.Results, best...)
+	ratio := func(num, den string) float64 {
+		n, d := roundNs[byName[num]], roundNs[byName[den]]
+		rs := make([]float64, len(n))
+		for k := range n {
+			rs[k] = n[k] / d[k]
 		}
-		degRatios = append(degRatios, p.NsPerOp/r.NsPerOp)
+		return Median(rs)
 	}
-	rep.Results = append(rep.Results, degClean, degPoison)
-	rep.DegradedOverheadPct = (median(degRatios) - 1) * 100
-
-	// Prefilter cascade: the same pipeline over a low-selectivity feed,
-	// with and without the raw-byte skim. Paired best-of-rounds like the
-	// degraded pair; both runs deliver identical matches, so nodes/sec
-	// over the same logical input is the honest comparison.
-	offFeed, err := prefilterFeed(quick, false)
-	if err != nil {
-		return nil, err
-	}
-	onFeed, err := prefilterFeed(quick, true)
-	if err != nil {
-		return nil, err
-	}
-	var preOff, preOn BenchResult
-	var preRatios []float64
-	for round := 0; round < rounds; round++ {
-		o := offFeed.measure(cq, "stream-prefilter-off", pairTime)
-		if round == 0 || o.NsPerOp < preOff.NsPerOp {
-			preOff = o
-		}
-		p := onFeed.measure(cq, "stream-prefilter-on", pairTime)
-		if round == 0 || p.NsPerOp < preOn.NsPerOp {
-			preOn = p
-		}
-		preRatios = append(preRatios, o.NsPerOp/p.NsPerOp)
-	}
-	rep.Results = append(rep.Results, preOff, preOn)
-	rep.PrefilterSpeedup = median(preRatios)
-	preStats, err := stream.Run(context.Background(), bytes.NewReader(onFeed.data), cq,
-		onFeed.cfg, func(*stream.Result) error { return nil })
+	rep.DegradedOverheadPct = (ratio("stream-degraded-1pct", "stream-degraded-clean") - 1) * 100
+	rep.PrefilterSpeedup = ratio("stream-prefilter-off", "stream-prefilter-on")
+	rep.SharedPassSpeedup = ratio("stream-sharedpass-independent", "stream-sharedpass-8q")
+	on := feeds[byName["stream-prefilter-on"]]
+	preStats, err := stream.Run(context.Background(), bytes.NewReader(on.data), cq,
+		on.cfg, func(*stream.Result) error { return nil })
 	if err != nil {
 		return nil, err
 	}
 	if total := preStats.Records + preStats.Prefiltered; total > 0 {
 		rep.PrefilterSkipRate = float64(preStats.Prefiltered) / float64(total)
 	}
-
-	// Shared multi-query pass: the serving shape — N registered queries,
-	// one feed post — against the N-scans shape it replaces. Paired
-	// best-of-rounds; both sides deliver identical per-query matches.
-	sharedFeed, err := sharedPassFeed(quick, false)
-	if err != nil {
-		return nil, err
-	}
-	indepFeed, err := sharedPassFeed(quick, true)
-	if err != nil {
-		return nil, err
-	}
-	var spShared, spIndep BenchResult
-	var spRatios []float64
-	for round := 0; round < rounds; round++ {
-		s := sharedFeed.measure(nil, "stream-sharedpass-8q", pairTime)
-		if round == 0 || s.NsPerOp < spShared.NsPerOp {
-			spShared = s
-		}
-		i := indepFeed.measure(nil, "stream-sharedpass-independent", pairTime)
-		if round == 0 || i.NsPerOp < spIndep.NsPerOp {
-			spIndep = i
-		}
-		spRatios = append(spRatios, i.NsPerOp/s.NsPerOp)
-	}
-	rep.Results = append(rep.Results, spShared, spIndep)
-	rep.SharedPassSpeedup = median(spRatios)
 
 	// Lazy determinization: the adversarial k-th-from-end family, whose
 	// eager Theorem 1 subset construction doubles per k. The eager compile
@@ -558,8 +423,8 @@ func (r *BenchReport) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// median returns the median of xs (xs is reordered).
-func median(xs []float64) float64 {
+// Median returns the median of xs, sorting xs in place.
+func Median(xs []float64) float64 {
 	sort.Float64s(xs)
 	n := len(xs)
 	if n == 0 {
