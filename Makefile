@@ -40,16 +40,20 @@ soak:
 # fuzz target runs for 60 seconds. The four xmlhedge targets fuzz the
 # splitter against encoding/xml, the prefiltered reader against the
 # unfiltered one, the reader under resource limits, and skip-policy
-# recovery. FuzzServeFeed posts each input to a served feed over HTTP and
-# requires the NDJSON of the library's shared pass; it starts a server per
-# input, so an input that reaches new code gets ten minimizing runs rather
-# than a minute of them. A failing input is written under the package's
-# testdata/fuzz; commit it as a regression seed once fixed.
+# recovery. FuzzFleet evaluates random query sets as fleets under random
+# allow-masks against the naive oracle. FuzzServeFeed posts each input to
+# a served feed over HTTP and requires the NDJSON of the library's shared
+# pass; it starts a server per input, so an input that reaches new code
+# gets ten minimizing runs rather than a minute of them. A failing input
+# is written under the package's testdata/fuzz; commit it as a regression
+# seed once fixed.
 fuzz:
 	@for t in FuzzSplitVsParse FuzzPrefilterDifferential FuzzRecordReader FuzzRecordReaderSkip; do \
 		echo "fuzz: $$t"; \
 		$(GO) test -run NONE -fuzz "^$$t\$$" -fuzztime 60s ./internal/xmlhedge/ || exit 1; \
 	done
+	@echo "fuzz: FuzzFleet"
+	$(GO) test -run NONE -fuzz '^FuzzFleet$$' -fuzztime 60s ./internal/core/
 	@echo "fuzz: FuzzServeFeed"
 	$(GO) test -run NONE -fuzz '^FuzzServeFeed$$' -fuzztime 60s -fuzzminimizetime 10x ./internal/serve/
 

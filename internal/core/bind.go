@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"xpe/internal/hedge"
 	"xpe/internal/sfa"
@@ -37,79 +37,48 @@ type BoundMatch struct {
 // LocateBindings locates every matching node and captures the bindings of
 // named bases. When the representation is ambiguous, one successful match
 // per node is chosen (use HasUniqueBindings to check uniqueness up front).
-func (c *CompiledPHR) LocateBindings(h hedge.Hedge) []BoundMatch { return c.bindings(h, nil) }
+func (c *CompiledPHR) LocateBindings(h hedge.Hedge) []BoundMatch { return newFleet(c, nil).bindings(h) }
 
-// bindings is LocateBindings with the e₁ condition sub (nil = any
-// subhedge).
-func (c *CompiledPHR) bindings(h hedge.Hedge, sub *subChecker) []BoundMatch {
-	recs, ar := c.annotate(h, nil, sub)
-	defer c.release(ar)
-
+// bindings is LocateBindings for a fleet of one: its member's e₁ filters
+// the matches as usual. Matches come in document order.
+func (f *Fleet) bindings(h hedge.Hedge) []BoundMatch {
+	phr := f.members[0].phr
 	// The abstract NFA of the PHR's regular expression (forward, not
 	// mirrored): words are base-index sequences from the node's level up.
-	fwd := c.forwardNFA()
-
+	fwd := phr.forwardNFA()
 	var out []BoundMatch
-	// chain carries (node, candidate set) pairs from the top level down to
-	// the current node.
-	type level struct {
-		node  *hedge.Node
-		path  hedge.Path
-		cands uint64
-	}
-	var chain []level
-	var walk func(h hedge.Hedge, recs []annot, prefix hedge.Path, parent *mirrorState)
-	walk = func(h hedge.Hedge, recs []annot, prefix hedge.Path, parent *mirrorState) {
-		for i, n := range h {
-			if n.Kind != hedge.Elem {
-				continue
-			}
-			p := append(prefix, i)
-			ni := &recs[i]
-			cands := c.candidates(ni.sym, ni.leftBits, ni.rightBits)
-			st := c.mirror.step(parent, cands)
-			chain = append(chain, level{n, p.Clone(), cands})
-			if st.accept && ni.marked {
-				// Reconstruct the abstract word bottom-up: candidate sets
-				// from the node's level (last chain entry) to the top.
-				sets := make([][]int, len(chain))
-				for j := range chain {
-					sets[j] = bitsToList(chain[len(chain)-1-j].cands)
-				}
-				word, ok := wordFromSets(fwd, sets)
-				if ok {
-					bm := BoundMatch{
-						Path:         p.Clone(),
-						Node:         n,
-						Bindings:     map[string]*hedge.Node{},
-						BindingPaths: map[string]hedge.Path{},
-					}
-					for j, baseIdx := range word {
-						if name := c.PHR.Bases[baseIdx].Bind; name != "" {
-							lv := chain[len(chain)-1-j]
-							bm.Bindings[name] = lv.node
-							bm.BindingPaths[name] = lv.path
-						}
-					}
-					out = append(out, bm)
-				}
-			}
-			walk(n.Children, ni.children, p, st)
-			chain = chain[:len(chain)-1]
+	f.visit(h, 1, func(s *scratch, m int, n *hedge.Node) bool {
+		// The match's spine, top level first: node and candidate set.
+		var nodes []*hedge.Node
+		var sets [][]int
+		s.spine(m, func(n *hedge.Node, cands uint64, _ *mirrorState) {
+			nodes = append(nodes, n)
+			sets = append(sets, bitsToList(cands))
+		})
+		// Reconstruct the abstract word bottom-up: candidate sets from the
+		// node's level to the top.
+		slices.Reverse(sets)
+		word, ok := wordFromSets(fwd, sets)
+		if !ok {
+			return true
 		}
-	}
-	walk(h, recs, nil, c.mirror.start)
-	sort.Slice(out, func(i, j int) bool { return lessPathCore(out[i].Path, out[j].Path) })
+		bm := BoundMatch{
+			Path:         s.path.Clone(),
+			Node:         n,
+			Bindings:     map[string]*hedge.Node{},
+			BindingPaths: map[string]hedge.Path{},
+		}
+		for j, baseIdx := range word {
+			if name := phr.PHR.Bases[baseIdx].Bind; name != "" {
+				lv := len(nodes) - 1 - j
+				bm.Bindings[name] = nodes[lv]
+				bm.BindingPaths[name] = s.path[:lv+1].Clone()
+			}
+		}
+		out = append(out, bm)
+		return true
+	})
 	return out
-}
-
-func lessPathCore(a, b hedge.Path) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 // forwardNFA compiles the PHR's regular expression over base indexes.

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"xpe/internal/alphabet"
 	"xpe/internal/ha"
 	"xpe/internal/hedge"
 	"xpe/internal/hre"
@@ -45,13 +44,8 @@ type CompiledPHR struct {
 
 	mirror *mirrorDFA
 
-	// arenas recycles annotation slabs across Locate/Select calls, so the
-	// first traversal costs two slab reslices instead of zeroing fresh
-	// pages per call (which would dominate on megabyte-scale documents).
-	arenas sync.Pool
-
 	// metrics, when non-nil, receives one flush of evaluation counters per
-	// Locate call. Work counts accumulate in the per-call arena as plain
+	// evaluation. Work counts accumulate in the per-call scratch as plain
 	// integer arithmetic regardless; the nil check gates only the atomic
 	// flush, so detached evaluation pays no synchronization.
 	metrics *metrics.Eval
@@ -78,6 +72,8 @@ func (c *CompiledPHR) SetMetrics(m *metrics.Eval) { c.metrics = m }
 // DFAs in both directions — or, in lazy mode, an on-demand subset
 // construction behind the same stepping surface.
 type component struct {
+	key string // the side expression's rendering: its identity in a fleet
+
 	dha *ha.DHA
 	fwd *sfa.DFA // complete final DFA over dha states (prefix membership)
 	bwd *sfa.DFA // complete DFA of the reversed final language (suffix membership)
@@ -98,8 +94,8 @@ type component struct {
 }
 
 // materialize builds the eager structures of a lazily compiled component.
-// Evaluation keeps using the lazy path (annotateIn and the membership
-// passes branch on comp.lazy); the eager DFAs exist only for schema-level
+// Evaluation keeps using the lazy path (the fleet's bottom-up pass
+// branches on comp.lazy); the eager DFAs exist only for schema-level
 // constructions like BuildMatchAutomaton, which run their own product
 // exploration and never mix states with the lazy ids.
 func (comp *component) materialize() {
@@ -276,6 +272,7 @@ func CompilePHROpt(phr *PHR, names *ha.Names, opts Options) (*CompiledPHR, error
 	// appearance.
 	byKey := map[string]int{}
 	var sides []*hre.Expr
+	var keys []string
 	sideOf := func(e *hre.Expr) int {
 		if e == nil {
 			return -1
@@ -285,7 +282,7 @@ func CompilePHROpt(phr *PHR, names *ha.Names, opts Options) (*CompiledPHR, error
 		if !ok {
 			idx = len(sides)
 			byKey[key] = idx
-			sides = append(sides, e)
+			sides, keys = append(sides, e), append(keys, key)
 		}
 		return idx
 	}
@@ -301,11 +298,12 @@ func CompilePHROpt(phr *PHR, names *ha.Names, opts Options) (*CompiledPHR, error
 	// Gen is the exact closed world the side automata range over.
 	internPHRAlphabet(phr, names)
 	c := &CompiledPHR{PHR: phr, Names: names, Gen: names.Generation()}
-	for _, e := range sides {
+	for i, e := range sides {
 		comp, err := compileComponent(e, names, opts)
 		if err != nil {
 			return nil, err
 		}
+		comp.key = keys[i]
 		c.comps = append(c.comps, comp)
 	}
 	bit := func(ci int) uint64 {
@@ -391,122 +389,13 @@ func (r *Result) add(p hedge.Path, n *hedge.Node) bool {
 	return true
 }
 
-// ResolveLabels appends the label id of every node of h, in pre-order, to
-// dst and returns the extended slice: element labels from names.Syms,
-// variables from names.Vars, alphabet.None for other leaves and for names
-// never interned. Evaluation entries that take ids expect them resolved
-// against the query's own Names (CompiledQuery.Names), so a label interned
-// after compilation lies past the compiled alphabet and takes the sink.
-func ResolveLabels(h hedge.Hedge, names *ha.Names, dst []int32) []int32 {
-	for _, n := range h {
-		id := alphabet.None
-		switch n.Kind {
-		case hedge.Elem:
-			id = names.Syms.Lookup(n.Name)
-		case hedge.Var:
-			id = names.Vars.Lookup(n.Name)
-		}
-		dst = append(dst, int32(id))
-		if n.Kind == hedge.Elem {
-			dst = ResolveLabels(n.Children, names, dst)
-		}
-	}
-	return dst
-}
-
-// annot is the per-node record of the first traversal, arranged as a tree
-// parallel to the hedge so both traversals run map-free in document order.
-type annot struct {
-	sym        int32   // label id (see ResolveLabels)
-	sub        int32   // e₁ DHA state (queries with a subhedge condition)
-	marked     bool    // subhedge ∈ L(e₁); always true without e₁
-	compStates []int32 // state per component (index parallels c.comps)
-	leftBits   uint64  // bit i: elder-sibling sequence ∈ F of component i
-	rightBits  uint64  // bit i: younger-sibling sequence ∈ F of component i
-	children   []annot
-}
-
 // Locate runs Algorithm 1: two depth-first traversals, time linear in the
 // number of nodes (modulo lazy determinization of the mirror automaton,
 // which is amortized over the finite concrete alphabet).
 func (c *CompiledPHR) Locate(h hedge.Hedge) *Result {
 	res := &Result{Located: map[*hedge.Node]bool{}}
-	c.each(h, nil, nil, res.add)
+	newFleet(c, nil).each(h, res.add)
 	return res
-}
-
-// each is Algorithm 1 over h with the e₁ condition sub (nil = any
-// subhedge): the first traversal annotates every node bottom-up, the second
-// steps the mirror automaton top-down and calls fn per located node in
-// document order with its Dewey path (reused between calls). ids are h's
-// label ids in c.Names (ResolveLabels); nil resolves them here. It returns
-// false when fn stopped the walk, and flushes one evaluation's counters to
-// the attached metrics sink.
-func (c *CompiledPHR) each(h hedge.Hedge, ids []int32, sub *subChecker, fn func(hedge.Path, *hedge.Node) bool) bool {
-	recs, ar := c.annotate(h, ids, sub)
-	w := eachPool.Get().(*eachWalker)
-	w.c, w.fn, w.marks = c, fn, 0
-	done := w.walk(h, recs, c.mirror.start)
-	if m := c.metrics; m != nil {
-		m.Docs.Inc()
-		m.Nodes.Add(int64(len(ar.ids)))
-		m.Marks.Add(w.marks)
-		m.Transitions.Add(ar.steps + ar.elems)
-		c.flushLazy(m)
-		if sub != nil {
-			sub.flushLazy(m)
-		}
-	}
-	w.c, w.fn = nil, nil
-	w.path = w.path[:0]
-	eachPool.Put(w)
-	c.release(ar)
-	return done
-}
-
-// eachWalker is the second-traversal state of each: the shared Dewey path
-// buffer grows and shrinks in place as the walk descends.
-type eachWalker struct {
-	c     *CompiledPHR
-	fn    func(p hedge.Path, n *hedge.Node) bool
-	path  hedge.Path
-	marks int64 // located nodes yielded by this walk
-}
-
-var eachPool = sync.Pool{New: func() any { return &eachWalker{path: make(hedge.Path, 0, 32)} }}
-
-func (w *eachWalker) walk(h hedge.Hedge, recs []annot, parent *mirrorState) bool {
-	c := w.c
-	for i, n := range h {
-		if n.Kind != hedge.Elem {
-			continue
-		}
-		a := &recs[i]
-		st := c.mirror.step(parent, c.candidates(a.sym, a.leftBits, a.rightBits))
-		w.path = append(w.path, i)
-		if st.accept && a.marked {
-			w.marks++
-			if !w.fn(w.path, n) {
-				return false
-			}
-		}
-		if !w.walk(n.Children, a.children, st) {
-			return false
-		}
-		w.path = w.path[:len(w.path)-1]
-	}
-	return true
-}
-
-// flushLazy folds the since-last-flush lazy-determinization deltas of every
-// lazily compiled component into the metrics sink. A no-op under eager
-// compilation.
-func (c *CompiledPHR) flushLazy(m *metrics.Eval) {
-	for _, comp := range c.comps {
-		if comp.lazy != nil {
-			flushLazyDelta(m, comp.lazy)
-		}
-	}
 }
 
 func flushLazyDelta(m *metrics.Eval, lz *ha.LazyDet) {
@@ -528,187 +417,10 @@ func (c *CompiledPHR) LazyStats() ha.LazyStats {
 	return s
 }
 
-// annotArena bump-allocates every annot record (and component-state array)
-// of one evaluation from two recycled slabs sized to the document. It
-// doubles as the per-call tally of the first traversal's work (elems,
-// steps): accumulating into the arena is single-goroutine plain arithmetic,
-// flushed to the attached metrics sink — if any — once per call.
-type annotArena struct {
-	recsBuf   []annot
-	statesBuf []int32
-	idsBuf    []int32 // label ids resolved by annotate itself
-	recs      []annot
-	states    []int32
-
-	ids   []int32 // the document's label ids, one per node in pre-order
-	next  int     // pre-order index of the next node to annotate
-	elems int64   // element nodes (= mirror-automaton steps of the second pass)
-	steps int64   // component and e₁ DFA transitions taken
-}
-
-func (ar *annotArena) reset(ids []int32, comps int) {
-	size := len(ids)
-	if cap(ar.recsBuf) < size {
-		ar.recsBuf = make([]annot, size)
-	}
-	if cap(ar.statesBuf) < size*comps {
-		ar.statesBuf = make([]int32, size*comps)
-	}
-	ar.recs = ar.recsBuf[:size]
-	ar.states = ar.statesBuf[:size*comps]
-	ar.ids, ar.next, ar.elems, ar.steps = ids, 0, 0, 0
-}
-
-func (ar *annotArena) take(n, comps int) ([]annot, []int32) {
-	recs := ar.recs[:n]
-	ar.recs = ar.recs[n:]
-	states := ar.states[:n*comps]
-	ar.states = ar.states[n*comps:]
-	return recs, states
-}
-
-// annotate is the first traversal: label ids, component states and (with
-// sub) the e₁ marking bit bottom-up, then the per-sibling-list membership
-// bits (forward final DFAs for elder siblings, reversed final DFAs for
-// younger siblings). ids are h's label ids in c.Names; nil resolves them
-// into the arena. Hand the arena to c.release once the records are no
-// longer referenced.
-func (c *CompiledPHR) annotate(h hedge.Hedge, ids []int32, sub *subChecker) ([]annot, *annotArena) {
-	ar, _ := c.arenas.Get().(*annotArena)
-	if ar == nil {
-		ar = &annotArena{}
-	}
-	if ids == nil {
-		ar.idsBuf = ResolveLabels(h, c.Names, ar.idsBuf[:0])
-		ids = ar.idsBuf
-	}
-	ar.reset(ids, len(c.comps))
-	return c.annotateIn(h, sub, ar), ar
-}
-
-// release returns an arena to the pool without retaining the caller's ids.
-func (c *CompiledPHR) release(ar *annotArena) {
-	ar.ids = nil
-	c.arenas.Put(ar)
-}
-
-func (c *CompiledPHR) annotateIn(h hedge.Hedge, sub *subChecker, ar *annotArena) []annot {
-	nc := len(c.comps)
-	recs, states := ar.take(len(h), nc)
-	for i, n := range h {
-		a := &recs[i]
-		// Slabs are recycled: every field is (re)assigned here, and the
-		// membership bits accumulate with |=, so clear them explicitly.
-		a.sym = ar.ids[ar.next]
-		ar.next++
-		a.children = nil
-		a.leftBits, a.rightBits = 0, 0
-		a.marked = sub == nil
-		if n.Kind == hedge.Elem {
-			ar.elems++
-			if len(n.Children) > 0 {
-				a.children = c.annotateIn(n.Children, sub, ar)
-			}
-		}
-		a.compStates = states[i*nc : (i+1)*nc]
-		for ci, comp := range c.comps {
-			switch {
-			case comp.lazy != nil:
-				a.compStates[ci] = stateOfLazy(ci, comp, n.Kind, a.sym, a.children)
-			case n.Kind != hedge.Elem:
-				a.compStates[ci] = comp.tab.leaf(n.Kind, a.sym)
-			default:
-				hz := comp.tab.horizOf(a.sym)
-				st := hz.Start
-				for j := range a.children {
-					st = hz.Step(st, a.children[j].compStates[ci])
-				}
-				a.compStates[ci] = comp.tab.elem(hz, st)
-			}
-		}
-		// Each component's horizontal DFA steps once per child.
-		ar.steps += int64(len(a.children)) * int64(nc)
-		if sub != nil {
-			sub.mark(a, n.Kind, ar)
-		}
-	}
-	// The membership passes below step each component's final DFAs once per
-	// node in both directions.
-	ar.steps += 2 * int64(len(recs)) * int64(nc)
-	for ci, comp := range c.comps {
-		bit := uint64(1) << uint(ci)
-		if lz := comp.lazy; lz != nil {
-			st := lz.FwdStart()
-			for i := range recs {
-				if lz.FwdAccepting(st) {
-					recs[i].leftBits |= bit
-				}
-				st = lz.FwdStep(st, int(recs[i].compStates[ci]))
-			}
-			rt := lz.BwdStart()
-			for i := len(recs) - 1; i >= 0; i-- {
-				if lz.BwdAccepting(rt) {
-					recs[i].rightBits |= bit
-				}
-				rt = lz.BwdStep(rt, int(recs[i].compStates[ci]))
-			}
-			continue
-		}
-		fwd, bwd := &comp.fwdT, &comp.bwdT
-		st := fwd.Start
-		for i := range recs {
-			if fwd.Accepting(st) {
-				recs[i].leftBits |= bit
-			}
-			st = fwd.Step(st, recs[i].compStates[ci])
-		}
-		rt := bwd.Start
-		for i := len(recs) - 1; i >= 0; i-- {
-			if bwd.Accepting(rt) {
-				recs[i].rightBits |= bit
-			}
-			rt = bwd.Step(rt, recs[i].compStates[ci])
-		}
-	}
-	return recs
-}
-
-// stateOfLazy computes a node's state in a lazily determinized component
-// from its children's records (already computed bottom-up), materializing
-// horizontal states on demand. The lazy machines are total (HorizStep never
-// goes dead), so only the label can fall to the sink early.
-func stateOfLazy(ci int, comp *component, kind hedge.NodeKind, sym int32, children []annot) int32 {
-	lz := comp.lazy
-	switch kind {
-	case hedge.Var:
-		if sym >= 0 {
-			return int32(lz.IotaState(int(sym)))
-		}
-	case hedge.Elem:
-		st := lz.HorizStart(int(sym))
-		if st < 0 {
-			break
-		}
-		for j := range children {
-			st = lz.HorizStep(int(sym), st, int(children[j].compStates[ci]))
-		}
-		return int32(lz.HorizOut(int(sym), st))
-	}
-	return int32(lz.Sink())
-}
-
 // candidates returns the bit set of base representations matched by the
-// pointed base hedge at a node: label equal and both side memberships hold
-// (Definition 17 via the ξ mapping of Theorem 4).
+// pointed base hedge at a node (see candidatesOf).
 func (c *CompiledPHR) candidates(sym int32, leftBits, rightBits uint64) uint64 {
-	var out uint64
-	for i := range c.bases {
-		b := &c.bases[i]
-		if b.sym == sym && leftBits&b.left == b.left && rightBits&b.right == b.right {
-			out |= 1 << uint(i)
-		}
-	}
-	return out
+	return candidatesOf(c.bases, sym, leftBits, rightBits)
 }
 
 // MatchesPointed evaluates a single pointed hedge against the PHR using the
@@ -754,6 +466,7 @@ type mirrorDFA struct {
 type mirrorState struct {
 	id     int // creation order; stable for the life of the compilation
 	accept bool
+	dead   bool  // the empty set: no successor ever accepts
 	set    []int // NFA state set; read under mirrorDFA.mu only
 	edges  atomic.Pointer[[]mirrorEdge]
 }
@@ -785,7 +498,7 @@ func (m *mirrorDFA) intern(set []int) *mirrorState {
 	if st, ok := m.ids[k]; ok {
 		return st
 	}
-	st := &mirrorState{id: len(m.ids), set: set}
+	st := &mirrorState{id: len(m.ids), dead: len(set) == 0, set: set}
 	for _, s := range set {
 		if m.rev.Accept[s] {
 			st.accept = true

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"slices"
+
 	"xpe/internal/hedge"
+	"xpe/internal/sfa"
 )
 
 // Match provenance. Algorithm 1's second traversal decides "located" per
@@ -63,60 +66,35 @@ type Witness struct {
 // Witness and its slices are freshly allocated per call to fn (safe to
 // retain); the node pointer aliases the document.
 func (cq *CompiledQuery) ExplainEach(h hedge.Hedge, fn func(w Witness, n *hedge.Node) bool) bool {
-	phr := cq.phr
-	recs, ar := phr.annotate(h, nil, cq.sub)
-	defer phr.release(ar)
-	fwd := phr.forwardNFA()
-	// chain carries (label, state, candidate set) from the top level down
-	// to the current node; sets and words are reconstructed bottom-up per
-	// Definition 19 exactly as in LocateBindings.
-	type level struct {
-		name  string
-		state int
-		cands uint64
-	}
-	var chain []level
-	var path hedge.Path
-	var walk func(h hedge.Hedge, recs []annot, parent *mirrorState) bool
-	walk = func(h hedge.Hedge, recs []annot, parent *mirrorState) bool {
-		for i, n := range h {
-			if n.Kind != hedge.Elem {
-				continue
-			}
-			ni := &recs[i]
-			cands := phr.candidates(ni.sym, ni.leftBits, ni.rightBits)
-			st := phr.mirror.step(parent, cands)
-			path = append(path, i)
-			chain = append(chain, level{n.Name, st.id, cands})
-			if st.accept && ni.marked {
-				sets := make([][]int, len(chain))
-				for j := range chain {
-					sets[j] = bitsToList(chain[len(chain)-1-j].cands)
-				}
-				word, ok := wordFromSets(fwd, sets)
-				w := Witness{Path: path.Clone(), Subhedge: cq.sub != nil,
-					Levels: make([]WitnessLevel, len(chain))}
-				for k := range chain {
-					lv := WitnessLevel{Name: chain[k].name, State: chain[k].state,
-						Candidates: sets[len(chain)-1-k], Fired: -1}
-					if ok {
-						lv.Fired = word[len(chain)-1-k]
-					}
-					w.Levels[k] = lv
-				}
-				if !fn(w, n) {
-					return false
-				}
-			}
-			if !walk(n.Children, ni.children, st) {
-				return false
-			}
-			path = path[:len(path)-1]
-			chain = chain[:len(chain)-1]
+	return cq.fleet().ExplainEach(h, 1, func(_ int, w Witness, n *hedge.Node) bool { return fn(w, n) })
+}
+
+// ExplainEach is Each with provenance: fn receives each located node's
+// witness instead of its path. Matches come in the order Each yields them.
+func (f *Fleet) ExplainEach(h hedge.Hedge, allow uint64, fn func(m int, w Witness, n *hedge.Node) bool) bool {
+	fwds := make([]*sfa.NFA, len(f.members)) // compiled on a member's first match
+	return f.visit(h, allow, func(s *scratch, m int, n *hedge.Node) bool {
+		mb := &f.members[m]
+		if fwds[m] == nil {
+			fwds[m] = mb.phr.forwardNFA()
 		}
-		return true
-	}
-	return walk(h, recs, phr.mirror.start)
+		w := Witness{Path: s.path.Clone(), Subhedge: mb.mark != 0}
+		var sets [][]int
+		s.spine(m, func(n *hedge.Node, cands uint64, st *mirrorState) {
+			lv := WitnessLevel{Name: n.Name, State: st.id, Candidates: bitsToList(cands), Fired: -1}
+			w.Levels = append(w.Levels, lv)
+			sets = append(sets, lv.Candidates)
+		})
+		// Sets and words are reconstructed bottom-up per Definition 19,
+		// exactly as in LocateBindings.
+		slices.Reverse(sets)
+		if word, ok := wordFromSets(fwds[m], sets); ok {
+			for k := range w.Levels {
+				w.Levels[k].Fired = word[len(word)-1-k]
+			}
+		}
+		return fn(m, w, n)
+	})
 }
 
 // NumBases returns the number of base representations in the query's

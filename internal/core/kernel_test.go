@@ -59,33 +59,39 @@ var kernelQueries = []string{
 }
 
 // TestEvalZeroAlloc pins steady-state evaluation at exactly zero
-// allocations: once a warm-up run has filled the arenas, walkers and
-// mirror edges, SelectEach and SelectEachResolved allocate nothing.
+// allocations: once a warm-up run has filled the scratch and the mirror
+// edges, SelectEach allocates nothing, and neither does one evaluation of
+// the 64-query dense fleet.
 func TestEvalZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector drops sync.Pool items at random, perturbing AllocsPerRun")
 	}
 	doc := gen.Document(gen.DefaultDocConfig(), 3000)
 	fn := func(hedge.Path, *hedge.Node) bool { return true }
-	for _, src := range kernelQueries {
-		cq := compileDocQuery(t, src)
-		ids := ResolveLabels(doc, cq.Names, nil)
-		for name, run := range map[string]func(){
-			"SelectEach":         func() { cq.SelectEach(doc, fn) },
-			"SelectEachResolved": func() { cq.SelectEachResolved(doc, ids, fn) },
-		} {
-			run()
-			if a := testing.AllocsPerRun(20, run); a != 0 {
-				t.Errorf("%s %q: %.1f allocs/run, want 0", name, src, a)
-			}
+	check := func(name string, run func()) {
+		t.Helper()
+		run()
+		if a := testing.AllocsPerRun(20, run); a != 0 {
+			t.Errorf("%s: %.1f allocs/run, want 0", name, a)
 		}
 	}
+	for _, src := range kernelQueries {
+		cq := compileDocQuery(t, src)
+		check(fmt.Sprintf("SelectEach %q", src), func() { cq.SelectEach(doc, fn) })
+	}
+	fleets := AppendFleets(nil, compileDocFleet(t, gen.DenseQueries()))
+	if len(fleets) != 1 || fleets[0].Len() != 64 {
+		t.Fatalf("the dense queries make %d fleets, want one of 64", len(fleets))
+	}
+	fleetFn := func(int, hedge.Path, *hedge.Node) bool { return true }
+	check("64-query Fleet.Each", func() { fleets[0].Each(doc, ^uint64(0), fleetFn) })
 }
 
 // TestConcurrentColdMirror: goroutines evaluating one freshly compiled
 // query race to fill its mirror automaton, whose reads take no lock; every
-// evaluation must still agree with a sequential reference. Meant for
-// -race -count=10.
+// evaluation must still agree with a sequential reference. The last case
+// is one cold fleet of all the kernel queries, shared by every goroutine
+// as a parallel stream's workers share it. Meant for -race -count=10.
 func TestConcurrentColdMirror(t *testing.T) {
 	var docs []hedge.Hedge
 	for seed := int64(1); seed <= 4; seed++ {
@@ -93,13 +99,36 @@ func TestConcurrentColdMirror(t *testing.T) {
 		cfg.Seed = seed
 		docs = append(docs, gen.Document(cfg, 400))
 	}
+	// located renders what eval finds in h.
+	type evaluator func(h hedge.Hedge) string
+	selectOf := func(cq *CompiledQuery) evaluator {
+		return func(h hedge.Hedge) string { return fmt.Sprint(cq.Select(h).Paths) }
+	}
+	fleetOf := func(cqs []*CompiledQuery) evaluator {
+		f := &AppendFleets(nil, cqs)[0]
+		return func(h hedge.Hedge) string {
+			var b strings.Builder
+			f.Each(h, ^uint64(0), func(m int, p hedge.Path, _ *hedge.Node) bool {
+				fmt.Fprintf(&b, "%d:%s ", m, p)
+				return true
+			})
+			return b.String()
+		}
+	}
+	type race struct {
+		name      string
+		ref, cold evaluator
+	}
+	var races []race
 	for _, src := range kernelQueries {
-		ref := compileDocQuery(t, src)
+		races = append(races, race{src, selectOf(compileDocQuery(t, src)), selectOf(compileDocQuery(t, src))})
+	}
+	races = append(races, race{"fleet", fleetOf(compileDocFleet(t, kernelQueries)), fleetOf(compileDocFleet(t, kernelQueries))})
+	for _, r := range races {
 		want := make([]string, len(docs))
 		for i, d := range docs {
-			want[i] = fmt.Sprint(ref.Select(d).Paths)
+			want[i] = r.ref(d)
 		}
-		cq := compileDocQuery(t, src) // cold: no mirror edge yet
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
@@ -109,8 +138,8 @@ func TestConcurrentColdMirror(t *testing.T) {
 				<-start
 				for k := range docs {
 					i := (k + g) % len(docs)
-					if got := fmt.Sprint(cq.Select(docs[i]).Paths); got != want[i] {
-						t.Errorf("%q goroutine %d doc %d: located %s, want %s", src, g, i, got, want[i])
+					if got := r.cold(docs[i]); got != want[i] {
+						t.Errorf("%q goroutine %d doc %d: located %s, want %s", r.name, g, i, got, want[i])
 					}
 				}
 			}(g)

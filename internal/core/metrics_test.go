@@ -35,6 +35,28 @@ func compileDocQueryOpt(t *testing.T, src string, opts Options) *CompiledQuery {
 	return cq
 }
 
+// compileDocFleet compiles srcs against one Names over the gen.Document
+// vocabulary, as the queries of one served feed are.
+func compileDocFleet(t testing.TB, srcs []string) []*CompiledQuery {
+	t.Helper()
+	names := ha.NewNames()
+	for _, s := range []string{"doc", "section", "figure", "table", "para"} {
+		names.Syms.Intern(s)
+	}
+	names.Vars.Intern(hedge.TextVar)
+	cqs := make([]*CompiledQuery, len(srcs))
+	for i, src := range srcs {
+		q, err := ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cqs[i], err = CompileQuery(q, names); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cqs
+}
+
 // TestMetricsLinearity is the observable form of Theorems 3–5 (A1/C1):
 // for a fixed compiled query, nodes visited must equal the document size
 // exactly and automaton transitions must scale linearly with it — the

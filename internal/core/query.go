@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"xpe/internal/ha"
 	"xpe/internal/hedge"
@@ -125,6 +126,10 @@ type CompiledQuery struct {
 	phr *CompiledPHR
 	sub *subChecker // nil = any subhedge
 
+	// solo is the query's fleet of one, which every evaluation entry runs;
+	// built on first use (see fleet).
+	solo atomic.Pointer[Fleet]
+
 	// subExpr is the source e₁ expression (nil = any), retained for
 	// required-label extraction (RequiredLabels).
 	subExpr *hre.Expr
@@ -141,6 +146,8 @@ func (cq *CompiledQuery) SetMetrics(m *metrics.Eval) { cq.phr.SetMetrics(m) }
 // traversal: it runs the complete DHA of e₁ and tests the child sequence
 // against the final DFA — exactly the marking bit of Theorem 3's M↓e.
 type subChecker struct {
+	key string // e₁'s rendering: its identity in a fleet
+
 	dha *ha.DHA // map form, for the schema-level constructions
 	tab dhaTables
 	fin sfa.Table
@@ -161,58 +168,6 @@ func (s *subChecker) materialize() {
 		return
 	}
 	s.eager.Do(func() { s.dha = s.nha.Determinize().DHA })
-}
-
-// mark computes a's e₁ state and marking bit from its children's (already
-// annotated), tallying the transitions taken into ar.
-func (s *subChecker) mark(a *annot, kind hedge.NodeKind, ar *annotArena) {
-	a.marked = false
-	if kind != hedge.Elem {
-		if lz := s.lazy; lz != nil {
-			a.sub = int32(lz.Sink())
-			if kind == hedge.Var && a.sym >= 0 {
-				a.sub = int32(lz.IotaState(int(a.sym)))
-			}
-			return
-		}
-		a.sub = s.tab.leaf(kind, a.sym)
-		return
-	}
-	// One final-DFA step and one horizontal-DFA step per child.
-	ar.steps += 2 * int64(len(a.children))
-	if lz := s.lazy; lz != nil {
-		fs := lz.FwdStart()
-		for j := range a.children {
-			fs = lz.FwdStep(fs, int(a.children[j].sub))
-		}
-		a.marked = lz.FwdAccepting(fs)
-		a.sub = int32(lz.Sink())
-		sym := int(a.sym)
-		if st := lz.HorizStart(sym); st >= 0 {
-			for j := range a.children {
-				st = lz.HorizStep(sym, st, int(a.children[j].sub))
-			}
-			a.sub = int32(lz.HorizOut(sym, st))
-		}
-		return
-	}
-	fs := s.fin.Start
-	hz := s.tab.horizOf(a.sym)
-	st := hz.Start
-	for j := range a.children {
-		q := a.children[j].sub
-		fs = s.fin.Step(fs, q)
-		st = hz.Step(st, q)
-	}
-	a.marked = s.fin.Accepting(fs)
-	a.sub = s.tab.elem(hz, st)
-}
-
-// flushLazy folds the subChecker's lazy-determinization deltas into m.
-func (s *subChecker) flushLazy(m *metrics.Eval) {
-	if s.lazy != nil {
-		flushLazyDelta(m, s.lazy)
-	}
 }
 
 // PreinternQuery interns every name the compilation of q will intern —
@@ -267,6 +222,7 @@ func CompileQueryOpt(q *Query, names *ha.Names, opts Options) (*CompiledQuery, e
 				fin: det.DHA.Final.Complete().Table(),
 			}
 		}
+		cq.sub.key = q.Subhedge.String()
 	}
 	return cq, nil
 }
@@ -303,10 +259,21 @@ func (cq *CompiledQuery) materializeEager() {
 	}
 }
 
+// fleet returns the query's fleet of one, building it on first use: a
+// query evaluated only in shared passes, as served queries are, never
+// needs it. Racing first uses build one each and keep the first stored.
+func (cq *CompiledQuery) fleet() *Fleet {
+	if f := cq.solo.Load(); f != nil {
+		return f
+	}
+	cq.solo.CompareAndSwap(nil, newFleet(cq.phr, cq.sub))
+	return cq.solo.Load()
+}
+
 // Select returns the nodes of h located by the query (Definition 22).
 func (cq *CompiledQuery) Select(h hedge.Hedge) *Result {
 	res := &Result{Located: map[*hedge.Node]bool{}}
-	cq.phr.each(h, nil, cq.sub, res.add)
+	cq.fleet().each(h, res.add)
 	return res
 }
 
@@ -314,26 +281,17 @@ func (cq *CompiledQuery) Select(h hedge.Hedge) *Result {
 // document order with its Dewey path. It returns false when fn stopped the
 // walk early, true when the whole document was traversed. The path slice is
 // reused between calls to fn (clone it to retain), and all evaluation state
-// comes from recycled arenas, so repeated evaluation — the streaming
-// per-record hot loop — allocates nothing in steady state.
+// comes from recycled scratch, so repeated evaluation allocates nothing in
+// steady state.
 func (cq *CompiledQuery) SelectEach(h hedge.Hedge, fn func(p hedge.Path, n *hedge.Node) bool) bool {
-	return cq.phr.each(h, nil, cq.sub, fn)
-}
-
-// SelectEachResolved is SelectEach over labels already resolved: ids must
-// be ResolveLabels(h, cq.Names, …) (nil resolves them here). Queries
-// compiled against one Names share one resolution, so a caller evaluating
-// many queries per document (the streaming multi-query pass) looks each
-// label up once instead of once per query.
-func (cq *CompiledQuery) SelectEachResolved(h hedge.Hedge, ids []int32, fn func(p hedge.Path, n *hedge.Node) bool) bool {
-	return cq.phr.each(h, ids, cq.sub, fn)
+	return cq.fleet().each(h, fn)
 }
 
 // SelectBindings is Select with variable capture: located nodes are
 // returned together with the ancestors bound by named bases (see
 // CompiledPHR.LocateBindings). The e₁ condition filters matches as usual.
 func (cq *CompiledQuery) SelectBindings(h hedge.Hedge) []BoundMatch {
-	return cq.phr.bindings(h, cq.sub)
+	return cq.fleet().bindings(h)
 }
 
 // HasUniqueBindings reports (conservatively) whether the query's envelope

@@ -134,3 +134,42 @@ func SiblingRow(rng *rand.Rand, width int) hedge.Hedge {
 	r.Children = append(r.Children, hedge.NewElem("c"))
 	return hedge.Hedge{r}
 }
+
+// DenseQueries returns the 64 query sources of the dense fleet shape over
+// the Document vocabulary: for every pair of leaf labels, sibling and
+// envelope conditions on both sides of a leaf or a section; per leaf
+// label, fixed-depth paths and empty-sibling tests; and sixteen
+// select(e₁; phr) subhedge conditions on sections. Many of them share a
+// side expression or an e₁, as the queries of one served feed do.
+func DenseQueries() []string {
+	leaves := []string{"figure", "table", "para"}
+	var qs []string
+	for _, x := range leaves {
+		for _, y := range leaves {
+			qs = append(qs,
+				fmt.Sprintf("[* ; %s ; %s .] (section|doc)*", x, y),
+				fmt.Sprintf("[. %s ; %s ; *] (section|doc)*", y, x),
+				fmt.Sprintf("%s [* ; section ; %s .] (section|doc)*", x, y),
+				fmt.Sprintf("[* ; %s ; %s %s .] (section|doc)*", x, y, y),
+			)
+		}
+		qs = append(qs,
+			fmt.Sprintf("%s section section section section doc", x),
+			fmt.Sprintf("[() ; %s ; ()] section (section|doc)*", x),
+			fmt.Sprintf("%s [() ; section ; ()] (section|doc)*", x),
+			fmt.Sprintf("%s doc", x),
+		)
+	}
+	envelope := "[* ; section ; *] (section|doc)*"
+	for _, e1 := range []string{"figure*", "figure figure*", "table table*", "(figure|table)*",
+		"figure", "table", "figure figure", "table table", "figure table", "table figure",
+		"figure table figure", "table (figure|table)"} {
+		qs = append(qs, fmt.Sprintf("select(%s; %s)", e1, envelope))
+	}
+	return append(qs,
+		"select(table*; [* ; section ; *] section (section|doc)*)",
+		"select(figure (figure|table)*; [. figure ; section ; *] (section|doc)*)",
+		"select(.; [* ; table ; . figure .] (section|doc)*)",
+		"select(.; [* ; figure ; . table .] (section|doc)*)",
+	)
+}

@@ -151,16 +151,12 @@ func (h Hedge) Equal(other Hedge) bool {
 // denotes the hedge itself).
 type Path []int
 
-// String renders the path in Dewey notation, e.g. "2.1.3".
+// String renders the path in Dewey notation, e.g. "2.1.3". The rendering
+// is built on the stack (AppendString) and copied out once, so a path of
+// typical depth costs one allocation.
 func (p Path) String() string {
-	if len(p) == 0 {
-		return "ε"
-	}
-	parts := make([]string, len(p))
-	for i, x := range p {
-		parts[i] = fmt.Sprint(x + 1) // Dewey numbers are 1-based
-	}
-	return strings.Join(parts, ".")
+	var buf [64]byte
+	return string(p.AppendString(buf[:0]))
 }
 
 // AppendString appends the path's Dewey rendering (exactly String's
@@ -174,7 +170,7 @@ func (p Path) AppendString(dst []byte) []byte {
 		if i > 0 {
 			dst = append(dst, '.')
 		}
-		dst = strconv.AppendInt(dst, int64(x+1), 10)
+		dst = strconv.AppendInt(dst, int64(x+1), 10) // Dewey numbers are 1-based
 	}
 	return dst
 }

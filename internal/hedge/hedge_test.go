@@ -1,6 +1,7 @@
 package hedge
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -334,5 +335,45 @@ func TestEnvelopeDecompositionShape(t *testing.T) {
 	// Top base: b a⟨η⟩ ε.
 	if !bases[1].Left.Equal(MustParse("b")) || bases[1].Label != "a" || len(bases[1].Right) != 0 {
 		t.Fatalf("base 2 = %+v", bases[1])
+	}
+}
+
+// TestPathStringAppendString pins Path.String to AppendString's rendering,
+// and both to Dewey notation: ε, one component, multi-digit components,
+// and a path deeper than String's stack buffer.
+func TestPathStringAppendString(t *testing.T) {
+	deep := make(Path, 40)
+	for i := range deep {
+		deep[i] = i * 37
+	}
+	cases := []struct {
+		p    Path
+		want string
+	}{
+		{nil, "ε"},
+		{Path{}, "ε"},
+		{Path{0}, "1"},
+		{Path{8}, "9"},
+		{Path{9, 99, 999, 1233}, "10.100.1000.1234"},
+		{Path{1, 0, 2}, "2.1.3"},
+	}
+	var deepWant []string
+	for _, x := range deep {
+		deepWant = append(deepWant, fmt.Sprint(x+1))
+	}
+	cases = append(cases, struct {
+		p    Path
+		want string
+	}{deep, strings.Join(deepWant, ".")})
+	for _, c := range cases {
+		if got := c.p.String(); got != c.want {
+			t.Errorf("Path%v.String() = %q, want %q", []int(c.p), got, c.want)
+		}
+		if got := string(c.p.AppendString(nil)); got != c.p.String() {
+			t.Errorf("Path%v: AppendString = %q, String = %q", []int(c.p), got, c.p.String())
+		}
+		if got := string(c.p.AppendString([]byte("x:"))); got != "x:"+c.want {
+			t.Errorf("Path%v: AppendString onto a prefix = %q", []int(c.p), got)
+		}
 	}
 }

@@ -18,7 +18,11 @@ type Eval struct {
 	// Marks counts located nodes emitted.
 	Marks Counter
 	// Transitions counts automaton transitions taken: component membership
-	// DFA steps, mirror-automaton steps, and e₁ marking steps.
+	// DFA steps, mirror-automaton steps, and e₁ marking steps. A fleet
+	// (core.Fleet) steps a side or e₁ automaton that several of its
+	// queries share once per node and counts that step once, so a shared
+	// pass counts fewer transitions than its queries run alone; Docs,
+	// Nodes and Marks count per query either way.
 	Transitions Counter
 	// LazyStates counts determinization states materialized on demand by
 	// lazily compiled queries (zero under eager compilation); LazyHits

@@ -7,23 +7,28 @@ import (
 	"testing"
 
 	"xpe"
+	"xpe/internal/core"
 	"xpe/internal/gen"
+	"xpe/internal/hedge"
 	"xpe/internal/xmlhedge"
 )
 
 // TestServeEvalCountsExact pins the paper's A1/C1 linearity on the served
-// path as exact counts: for the same records, the evaluation counters a
-// POST /v1/feed/{name} adds to Stats().Eval equal the sum over per-query
-// SelectEach runs (Query.Select) exactly — the shared pass, the hoisted
-// label resolution and the HTTP layer change no work count — and
-// transitions per node stay inside TestMetricsLinearity's band as the
-// records grow 16×.
+// path as exact counts: for the same records, the documents, nodes and
+// marks a POST /v1/feed/{name} adds to Stats().Eval equal the sums over
+// per-query runs (Query.Select) exactly, and its transitions equal a
+// direct core.Fleet evaluation of the records exactly — the shared pass
+// and the HTTP layer change no work count. Two of the queries share the
+// side "table .", which the fleet steps once, so the served transitions
+// are strictly below the per-query sum. Transitions per node stay inside
+// TestMetricsLinearity's band as the records grow 16×.
 func TestServeEvalCountsExact(t *testing.T) {
 	sources := []string{
 		"figure section* [* ; doc ; *]",
 		"[* ; figure ; table .] (section|doc)*",
 		"select(figure*; [* ; section ; *] (section|doc)*)",
 		"para (section|doc)*",
+		"[* ; para ; table .] (section|doc)*",
 	}
 	// Both pipeline shapes: the inline single-worker run and the parallel
 	// one.
@@ -71,13 +76,31 @@ func TestServeEvalCountsExact(t *testing.T) {
 					q.Select(d)
 				}
 			}
-			served, each := s1.Sub(s0).Eval, eng.Stats().Sub(s1).Eval
+			s2 := eng.Stats()
+			cqs := make([]*core.CompiledQuery, len(qs))
+			for i, q := range qs {
+				cqs[i] = q.Compiled()
+			}
+			fleets := core.AppendFleets(nil, cqs)
+			for _, d := range docs {
+				for _, f := range fleets {
+					f.Each(d.Hedge(), ^uint64(0), func(int, hedge.Path, *hedge.Node) bool { return true })
+				}
+			}
+			served, each, direct := s1.Sub(s0).Eval, s2.Sub(s1).Eval, eng.Stats().Sub(s2).Eval
 			if summary.Records != int64(len(docs)) || summary.Prefiltered != 0 {
 				t.Fatalf("workers %d, size %d: %d records evaluated, %d prefiltered; want all %d live",
 					workers, size, summary.Records, summary.Prefiltered, len(docs))
 			}
-			if served != each {
-				t.Errorf("workers %d, size %d: served eval counts %+v, per-query SelectEach %+v", workers, size, served, each)
+			if served.Docs != each.Docs || served.NodesVisited != each.NodesVisited || served.MarksEmitted != each.MarksEmitted {
+				t.Errorf("workers %d, size %d: served eval counts %+v, per-query Select %+v", workers, size, served, each)
+			}
+			if served != direct {
+				t.Errorf("workers %d, size %d: served eval counts %+v, direct fleet evaluation %+v", workers, size, served, direct)
+			}
+			if served.Transitions >= each.Transitions {
+				t.Errorf("workers %d, size %d: served transitions %d, per-query sum %d; the shared side must count once",
+					workers, size, served.Transitions, each.Transitions)
 			}
 			if served.Docs != int64(len(docs)*len(qs)) {
 				t.Errorf("workers %d, size %d: %d evaluations, want %d", workers, size, served.Docs, len(docs)*len(qs))

@@ -200,16 +200,15 @@ type Result struct {
 	// order within each query's group.
 	Matches []Match
 
-	// curQuery is the query index stamped onto matches as they are
-	// collected; safeEvaluate sets it before each query's traversal.
-	curQuery int
-	pathBuf  []int
-	// labels holds the record's label ids resolved once per distinct
-	// query alphabet (see labelsFor); the buffers outlive reset.
-	labels []labelSet
+	// first is the query index of the evaluating fleet's first member:
+	// member m's matches are stamped with query first+m.
+	first   int
+	pathBuf []int
+	// spare is groupByQuery's scratch; reset keeps it.
+	spare []Match
 	// collect and bounded cache the bound match sinks (see sink); reset
 	// keeps them.
-	collect, bounded func(p hedge.Path, n *hedge.Node) bool
+	collect, bounded func(m int, p hedge.Path, n *hedge.Node) bool
 	// deadline, seen and timedOut are the record timeout's state, read by
 	// the bounded sink. Captured by a closure instead, they would move to
 	// the heap on every record.
@@ -230,46 +229,20 @@ type Result struct {
 	events          []trace.Event
 }
 
-// labelSet is one record's label ids resolved against one query alphabet.
-type labelSet struct {
-	names *ha.Names
-	ids   []int32
-}
-
 // reset clears a recycled Result for the next record, keeping its buffers
 // and cached sinks.
 func (r *Result) reset() {
-	for i := range r.labels {
-		r.labels[i].names = nil
-	}
-	*r = Result{Matches: r.Matches[:0], pathBuf: r.pathBuf[:0], labels: r.labels[:0],
+	*r = Result{Matches: r.Matches[:0], pathBuf: r.pathBuf[:0], spare: r.spare,
 		collect: r.collect, bounded: r.bounded}
 }
 
-// labelsFor returns h's label ids in names (core.ResolveLabels), resolving
-// them at most once per record per distinct Names. Queries compiled at one
-// alphabet generation share a snapshot, so a fleet resolves once.
-func (r *Result) labelsFor(h hedge.Hedge, names *ha.Names) []int32 {
-	for i := range r.labels {
-		if r.labels[i].names == names {
-			return r.labels[i].ids
-		}
-	}
-	// Reslicing into spare capacity reuses an earlier record's buffer.
-	r.labels = slices.Grow(r.labels, 1)[:len(r.labels)+1]
-	ls := &r.labels[len(r.labels)-1]
-	ls.names = names
-	ls.ids = core.ResolveLabels(h, names, ls.ids[:0])
-	return ls.ids
-}
-
 // collectMatch is the unbounded match sink: it copies the (reused) path
-// into the result's backing buffer, appends a match for the query being
-// evaluated, and keeps going.
-func (r *Result) collectMatch(p hedge.Path, n *hedge.Node) bool {
+// into the result's backing buffer, appends a match for fleet member m,
+// and keeps going.
+func (r *Result) collectMatch(m int, p hedge.Path, n *hedge.Node) bool {
 	start := len(r.pathBuf)
 	r.pathBuf = append(r.pathBuf, p...)
-	r.Matches = append(r.Matches, Match{Query: r.curQuery,
+	r.Matches = append(r.Matches, Match{Query: r.first + m,
 		Path: r.pathBuf[start:len(r.pathBuf):len(r.pathBuf)], Node: n})
 	return true
 }
@@ -277,8 +250,8 @@ func (r *Result) collectMatch(p hedge.Path, n *hedge.Node) bool {
 // collectBounded is collectMatch under the record deadline, sampled every
 // 64 matches (Algorithm 1 is linear and terminating — the budget targets
 // slow records, not infinite loops).
-func (r *Result) collectBounded(p hedge.Path, n *hedge.Node) bool {
-	r.collectMatch(p, n)
+func (r *Result) collectBounded(m int, p hedge.Path, n *hedge.Node) bool {
+	r.collectMatch(m, p, n)
 	if r.seen++; r.seen&63 == 0 && time.Now().After(r.deadline) {
 		r.timedOut = true
 		return false
@@ -287,10 +260,10 @@ func (r *Result) collectBounded(p hedge.Path, n *hedge.Node) bool {
 }
 
 // sink returns the cached match sink, deadline-bounded or not. The sink
-// escapes into a pooled walker on every evaluation, so a fresh closure
-// would cost a heap allocation per record; the method values are created
-// once per Result lifetime instead.
-func (r *Result) sink(bounded bool) func(p hedge.Path, n *hedge.Node) bool {
+// escapes into pooled evaluation scratch on every evaluation, so a fresh
+// closure would cost a heap allocation per record; the method values are
+// created once per Result lifetime instead.
+func (r *Result) sink(bounded bool) func(m int, p hedge.Path, n *hedge.Node) bool {
 	if r.collect == nil {
 		r.collect, r.bounded = r.collectMatch, r.collectBounded
 	}
@@ -298,6 +271,31 @@ func (r *Result) sink(bounded bool) func(p hedge.Path, n *hedge.Node) bool {
 		return r.bounded
 	}
 	return r.collect
+}
+
+// groupByQuery reorders the matches from index from on, one fleet's in
+// document order with its members interleaved, into ascending query order.
+// The counting pass is stable, so each query's matches stay in document
+// order, and it allocates nothing once spare has grown.
+func (r *Result) groupByQuery(from, members int) {
+	ms := r.Matches[from:]
+	if slices.IsSortedFunc(ms, func(a, b Match) int { return a.Query - b.Query }) {
+		return
+	}
+	var at [core.MaxFleet + 1]int
+	for i := range ms {
+		at[ms[i].Query-r.first+1]++
+	}
+	for m := 1; m < members; m++ {
+		at[m] += at[m-1]
+	}
+	r.spare = slices.Grow(r.spare[:0], len(ms))[:len(ms)]
+	for i := range ms {
+		m := ms[i].Query - r.first
+		r.spare[at[m]] = ms[i]
+		at[m]++
+	}
+	copy(ms, r.spare)
 }
 
 // ErrStop, returned by a yield callback, ends the stream early with no
@@ -355,20 +353,25 @@ func Run(ctx context.Context, r io.Reader, cq *core.CompiledQuery, cfg Config, y
 }
 
 // RunMulti evaluates every query in cqs over one shared pass: the input is
-// split and parsed once, and each record drives all the match automata
-// instead of one scan per query. Matches carry Match.Query (the index into
-// cqs); within one Result they are grouped by ascending query index, in
-// document order within each group. Everything else behaves like Run —
-// ordering, fault containment, budgets (Config.RecordTimeout bounds one
-// record's evaluation across ALL queries, it is not a per-query budget).
+// split and parsed once, and each record is evaluated by fleets
+// (core.AppendFleets, built once per run): contiguous runs of up to 64
+// queries sharing one alphabet snapshot, each fleet making one bottom-up
+// pass and one shared mirror walk per record, with a side expression or
+// e₁ that several of its queries share stepped once. Matches carry
+// Match.Query (the index into cqs); within one Result they are grouped by
+// ascending query index, in document order within each group. Everything
+// else behaves like Run — ordering, fault containment, budgets
+// (Config.RecordTimeout bounds one record's evaluation across ALL queries,
+// it is not a per-query budget).
 //
 // Under PrefilterAuto the skim runs against the union of the queries'
 // required-label sets: a record is skipped whole only when no query's
 // requirement set is fully present (requiring the union conjunctively
 // would be unsound), and kept records carry a per-query verdict
 // (xmlhedge.Record.Hint) that gates evaluation to the queries whose
-// requirements the record can actually satisfy — the shared-pass scaling
-// lever on selective workloads. Stats.Matches counts across all queries.
+// requirements the record can actually satisfy: a fleet steps only the
+// automata its allowed queries read — the shared-pass scaling lever on
+// selective workloads. Stats.Matches counts across all queries.
 func RunMulti(ctx context.Context, r io.Reader, cqs []*core.CompiledQuery, cfg Config, yield func(*Result) error) (Stats, error) {
 	if len(cqs) == 0 {
 		return Stats{}, errors.New("stream: RunMulti needs at least one query")
@@ -389,7 +392,12 @@ func runQueries(ctx context.Context, r io.Reader, qs []*core.CompiledQuery, cfg 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &pipe{qs: qs, cfg: &cfg, yield: yield}
+	// The fleets are built once, before any worker forks, into storage a
+	// previous run lent back, and shared read-only by every worker.
+	fleets := fleetPool.Get().(*[]core.Fleet)
+	*fleets = core.AppendFleets(*fleets, qs)
+	defer fleetPool.Put(fleets)
+	p := &pipe{fleets: *fleets, cfg: &cfg, yield: yield}
 	if cfg.Metrics != nil {
 		ropts.Metrics = &cfg.Metrics.Split
 		p.ms = &cfg.Metrics.Stream
@@ -433,6 +441,10 @@ func runQueries(ctx context.Context, r io.Reader, qs []*core.CompiledQuery, cfg 
 	return p.stats, err
 }
 
+// fleetPool recycles the fleets of finished runs: rebuilding a run's
+// fleets into warm storage allocates nothing.
+var fleetPool = sync.Pool{New: func() any { return new([]core.Fleet) }}
+
 // lazyTotals sums lazy-DHA counters across distinct compilations: the same
 // compilation registered under several indices counts once.
 func lazyTotals(qs []*core.CompiledQuery) ha.LazyStats {
@@ -451,15 +463,15 @@ func lazyTotals(qs []*core.CompiledQuery) ha.LazyStats {
 // parallel run calls split on its producer, eval on its workers and settle
 // on its collector (runParallel).
 type pipe struct {
-	ctx   context.Context // the splitter's context
-	rr    *xmlhedge.RecordReader
-	qs    []*core.CompiledQuery
-	cfg   *Config
-	ms    *metrics.Stream  // nil without Config.Metrics
-	sink  *trace.EventSink // nil unless tracing
-	timed bool             // stage timing: a metrics sink or tracing
-	yield func(*Result) error
-	stats Stats // settle's counters
+	ctx    context.Context // the splitter's context
+	rr     *xmlhedge.RecordReader
+	fleets []core.Fleet // the run's queries, in order
+	cfg    *Config
+	ms     *metrics.Stream  // nil without Config.Metrics
+	sink   *trace.EventSink // nil unless tracing
+	timed  bool             // stage timing: a metrics sink or tracing
+	yield  func(*Result) error
+	stats  Stats // settle's counters
 }
 
 // split reads the next record into it and stamps the split time and the
@@ -518,9 +530,9 @@ func recordFailure(rr *xmlhedge.RecordReader, err error) *RecordError {
 	return fail
 }
 
-// eval runs every live query over a split record and stamps the
-// evaluation time; a contained failure replaces the matches (res.fail).
-// Tombstones pass through untouched.
+// eval runs every fleet over a split record and stamps the evaluation
+// time; a contained failure replaces the matches (res.fail). Tombstones
+// pass through untouched.
 func (p *pipe) eval(it *batchItem) {
 	if it.res.fail != nil {
 		return
@@ -529,7 +541,7 @@ func (p *pipe) eval(it *batchItem) {
 	if p.timed {
 		t0 = time.Now()
 	}
-	it.res.fail = safeEvaluate(p.qs, &it.rec, &it.res, p.cfg)
+	it.res.fail = safeEvaluate(p.fleets, &it.rec, &it.res, p.cfg)
 	if p.timed {
 		d := time.Since(t0)
 		it.res.evalNS = int64(d)
@@ -540,15 +552,14 @@ func (p *pipe) eval(it *batchItem) {
 	}
 }
 
-// safeEvaluate runs every live query over one parsed record with panics
+// safeEvaluate runs every fleet over one parsed record with panics
 // contained and the evaluation timeout enforced — the timeout budget spans
-// the whole record, shared by all queries. A query whose verdict bit in
-// rec.Hint is clear is provably matchless here (the prefilter found a
-// required label absent) and is skipped without touching its automaton.
-// The record's labels are resolved on the first allowed query, once per
-// distinct query alphabet (Result.labelsFor). On success res holds the
-// matches, grouped by query index.
-func safeEvaluate(qs []*core.CompiledQuery, rec *xmlhedge.Record, res *Result, cfg *Config) (fail *RecordError) {
+// the whole record, shared by all queries. A fleet evaluates only the
+// members whose verdict bit in rec.Hint is set: a clear bit means the
+// prefilter found a required label absent, so the query is provably
+// matchless here and its automata are not touched. On success res holds
+// the matches, grouped by query index.
+func safeEvaluate(fleets []core.Fleet, rec *xmlhedge.Record, res *Result, cfg *Config) (fail *RecordError) {
 	defer func() {
 		if v := recover(); v != nil {
 			fail = &RecordError{Index: rec.Index, Path: rec.Path,
@@ -565,28 +576,32 @@ func safeEvaluate(qs []*core.CompiledQuery, rec *xmlhedge.Record, res *Result, c
 		cfg.Inject.BeforeEval(rec.Index)
 	}
 	// Cooperative deadline: sampled by the bounded sink during a traversal,
-	// between queries, and once more at the end.
+	// between fleets, and once more at the end.
 	sink := res.sink(timeout > 0)
-	for qi, cq := range qs {
-		if !rec.Hint.Allows(qi) {
+	for i := range fleets {
+		f := &fleets[i]
+		allow := rec.Hint.Word(f.First)
+		if allow == 0 {
 			continue
 		}
 		if timeout > 0 && time.Now().After(res.deadline) {
 			res.timedOut = true
 			break
 		}
-		res.curQuery = qi
+		res.first = f.First
+		from := len(res.Matches)
 		if cfg.Explain {
-			// Provenance capture: ExplainEach locates exactly what
-			// SelectEach does, with each match carrying its witness.
-			cq.ExplainEach(rec.Hedge, func(w core.Witness, node *hedge.Node) bool {
-				more := sink(w.Path, node)
+			// Provenance capture: ExplainEach locates exactly what Each
+			// does, with each match carrying its witness.
+			f.ExplainEach(rec.Hedge, allow, func(m int, w core.Witness, node *hedge.Node) bool {
+				more := sink(m, w.Path, node)
 				res.Matches[len(res.Matches)-1].Witness = &w
 				return more
 			})
 		} else {
-			cq.SelectEachResolved(rec.Hedge, res.labelsFor(rec.Hedge, cq.Names), sink)
+			f.Each(rec.Hedge, allow, sink)
 		}
+		res.groupByQuery(from, f.Len())
 		if res.timedOut {
 			break
 		}

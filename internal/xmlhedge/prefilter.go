@@ -72,14 +72,28 @@ var HintAll = Hint{W0: ^uint64(0)}
 // explicitly clear bit — the skim proved a required label absent — gates
 // a group off.
 func (h Hint) Allows(i int) bool {
-	if i < 64 {
-		return h.W0&(1<<uint(i)) != 0
+	return h.word(i/64)&(1<<(uint(i)&63)) != 0
+}
+
+// Word returns the verdicts of groups lo to lo+63 as one word, bit i for
+// group lo+i, with Allows' reading of the words past More.
+func (h Hint) Word(lo int) uint64 {
+	i, shift := lo/64, uint(lo%64)
+	if shift == 0 {
+		return h.word(i)
 	}
-	w := i/64 - 1
-	if w >= len(h.More) {
-		return true
+	return h.word(i)>>shift | h.word(i+1)<<(64-shift)
+}
+
+// word returns verdict word i: W0, then More, then all-ones.
+func (h Hint) word(i int) uint64 {
+	switch {
+	case i == 0:
+		return h.W0
+	case i-1 < len(h.More):
+		return h.More[i-1]
 	}
-	return h.More[w]&(1<<(uint(i)&63)) != 0
+	return ^uint64(0)
 }
 
 // zero reports an all-clear verdict: no group can match, so the record is

@@ -735,6 +735,18 @@ func TestHintAllows(t *testing.T) {
 	if !h2.Allows(128) {
 		t.Errorf("Hint{More:[1<<3]}: Allows(128) = false, want true (beyond More)")
 	}
+	// Word(lo) packs Allows(lo) to Allows(lo+63), across word boundaries
+	// and past the last word.
+	for _, hint := range []Hint{HintAll, h, h2, {W0: 0xf0f0, More: []uint64{0x0ff0, 1 << 63}}} {
+		for _, lo := range []int{0, 3, 32, 63, 64, 100, 127, 128, 190} {
+			w := hint.Word(lo)
+			for i := 0; i < 64; i++ {
+				if got := w&(1<<uint(i)) != 0; got != hint.Allows(lo+i) {
+					t.Fatalf("%+v.Word(%d) bit %d = %v, Allows(%d) = %v", hint, lo, i, got, lo+i, !got)
+				}
+			}
+		}
+	}
 	if !(Hint{}).zero() || !(Hint{More: []uint64{0}}).zero() {
 		t.Error("all-clear hints must report zero()")
 	}

@@ -3,8 +3,17 @@ package xpe
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
+
+	"xpe/internal/core"
+	"xpe/internal/gen"
+	"xpe/internal/ha"
+	"xpe/internal/hedge"
+	"xpe/internal/metrics"
+	"xpe/internal/stream"
+	"xpe/internal/xmlhedge"
 )
 
 // The multi-query differential harness: a shared-pass SelectStreamMulti
@@ -240,6 +249,209 @@ func TestDifferentialMultiQueryWide(t *testing.T) {
 			if mode == PrefilterOff && stats.Prefiltered != 0 {
 				t.Errorf("%s: Prefiltered = %d with the prefilter off", name, stats.Prefiltered)
 			}
+		}
+	}
+}
+
+// The fleet differential: a shared pass evaluates its queries in fleets
+// (core.Fleet), sharing one bottom-up pass and one walk per record among
+// up to 64 queries. For every query set below, each query's matches from
+// stream.RunMulti, in delivery order, must equal that query's own
+// SelectEach over every record and the naive oracle (core.SelectNaive),
+// at one and four workers, with the skim on and off, and every record's
+// matches must arrive grouped by ascending query index.
+
+// fleetQuery is one query of a fleet case with its source and the
+// alphabet it was compiled against.
+type fleetQuery struct {
+	src   string
+	q     *core.Query
+	names *ha.Names
+	cq    *core.CompiledQuery
+}
+
+// fleetNames returns a Names holding the corpus alphabet, the closed
+// world the queries are compiled in.
+func fleetNames(corpus hedge.Hedge) *ha.Names {
+	names := ha.NewNames()
+	syms, vars, _ := corpus.Labels()
+	for _, s := range syms {
+		names.Syms.Intern(s)
+	}
+	for _, v := range vars {
+		names.Vars.Intern(v)
+	}
+	return names
+}
+
+func compileFleetQuery(t *testing.T, names *ha.Names, src string, opts core.Options) fleetQuery {
+	t.Helper()
+	q, err := core.ParseQuery(src)
+	if err != nil {
+		t.Fatalf("%s: %v", src, err)
+	}
+	cq, err := core.CompileQueryOpt(q, names, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", src, err)
+	}
+	return fleetQuery{src: src, q: q, names: names, cq: cq}
+}
+
+// fleetReference renders every query's matches record by record, in
+// document order, from the query's own SelectEach, and checks them
+// against the naive oracle. The oracle's answers are memoized in naive by
+// source and alphabet, which is all they depend on.
+func fleetReference(t *testing.T, qs []fleetQuery, records []hedge.Hedge, naive map[string]string) []string {
+	t.Helper()
+	want := make([]string, len(qs))
+	for i, fq := range qs {
+		var each strings.Builder
+		for ri, h := range records {
+			fq.cq.SelectEach(h, func(p hedge.Path, _ *hedge.Node) bool {
+				fmt.Fprintf(&each, "%d|%s\n", ri, p)
+				return true
+			})
+		}
+		key := fmt.Sprintf("%p %s", fq.names, fq.src)
+		if _, ok := naive[key]; !ok {
+			var b strings.Builder
+			for ri, h := range records {
+				located, err := core.SelectNaive(fq.q, fq.names, h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.Visit(func(p hedge.Path, n *hedge.Node) bool {
+					if located[n] {
+						fmt.Fprintf(&b, "%d|%s\n", ri, p)
+					}
+					return true
+				})
+			}
+			naive[key] = b.String()
+		}
+		if each.String() != naive[key] {
+			t.Fatalf("query %d (%s): SelectEach\n%s\nnaive\n%s", i, fq.src, each.String(), naive[key])
+		}
+		want[i] = each.String()
+	}
+	return want
+}
+
+func TestDifferentialFleet(t *testing.T) {
+	corpus := diffCorpus(t, 2)
+	doc, err := xmlhedge.ParseString(corpus, xmlhedge.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var records []hedge.Hedge
+	for _, n := range doc[0].Children {
+		if n.Kind == hedge.Elem {
+			records = append(records, hedge.Hedge{n})
+		}
+	}
+	a := fleetNames(doc)
+	b := a.Clone()
+	b.Syms.Intern("fresh") // a second snapshot, one generation on
+	eager, lazy := core.Options{}, core.Options{LazyDeterminize: true}
+	torture := core.Options{LazyDeterminize: true, LazyTransitionBudget: 1}
+
+	compileAll := func(names *ha.Names, opts core.Options, srcs ...string) []fleetQuery {
+		var out []fleetQuery
+		for _, src := range srcs {
+			out = append(out, compileFleetQuery(t, names, src, opts))
+		}
+		return out
+	}
+	// More than 64 distinct sides: each query brings two of its own, so
+	// the set splits into fleets by sides long before 64 members.
+	var wide []string
+	for k := 1; k <= 36; k++ {
+		wide = append(wide, fmt.Sprintf("[%s ; section ; %s .] (section|doc)*",
+			strings.Repeat("para ", k), strings.Repeat("figure ", k)))
+	}
+	shared := []string{
+		"[* ; figure ; table .] (section|doc)*",
+		"[* ; para ; table .] (section|doc)*",
+		"[. ; figure ; .] (section|doc)*",
+		"[. ; table ; table .] doc* section*",
+		"select(figure*; [* ; section ; *] (section|doc)*)",
+		"select(figure*; [* ; section ; table .] doc*)",
+		"select(figure*; para (section|doc)*)",
+		"select(.; [* ; table ; . figure .] (section|doc)*)",
+	}
+	cases := []struct {
+		name string
+		qs   []fleetQuery
+		// subset: some kept record's hint allows some but not all of the
+		// queries, so the skim-on runs evaluate fewer (record, query)
+		// pairs than the skim-off runs.
+		subset bool
+	}{
+		{name: "shared sides and e1", qs: compileAll(a, eager, shared...), subset: true},
+		{name: "dense 64", qs: compileAll(a, eager, gen.DenseQueries()...)},
+		{name: "over 64 queries", qs: compileAll(a, eager, append(gen.DenseQueries(), shared...)...), subset: true},
+		{name: "over 64 sides", qs: compileAll(a, eager, wide...)},
+		{name: "snapshots A B A", qs: slices.Concat(
+			compileAll(a, eager, shared[:3]...),
+			compileAll(b, eager, shared[1:5]...),
+			compileAll(a, eager, shared[4:]...))},
+		{name: "lazy and eager", qs: slices.Concat(
+			compileAll(a, lazy, shared[:4]...),
+			compileAll(a, eager, shared...),
+			compileAll(a, torture, shared[2:]...))},
+		{name: "budget-1 torture", qs: compileAll(a, torture, append(shared, wide[:6]...)...)},
+	}
+	naive := map[string]string{}
+	for _, c := range cases {
+		want := fleetReference(t, c.qs, records, naive)
+		cqs := make([]*core.CompiledQuery, len(c.qs))
+		for i := range c.qs {
+			cqs[i] = c.qs[i].cq
+		}
+		fleets := core.AppendFleets(nil, cqs)
+		if c.name == "over 64 queries" || c.name == "over 64 sides" {
+			if len(fleets) < 2 {
+				t.Errorf("%s: %d fleet(s), want the set split", c.name, len(fleets))
+			}
+		}
+		docs := map[bool]int64{}
+		for _, workers := range []int{1, 4} {
+			for _, mode := range []stream.PrefilterMode{stream.PrefilterAuto, stream.PrefilterOff} {
+				name := fmt.Sprintf("%s/workers=%d/skim=%v", c.name, workers, mode == stream.PrefilterAuto)
+				var sink metrics.Eval
+				for _, cq := range cqs {
+					cq.SetMetrics(&sink)
+				}
+				got := make([]strings.Builder, len(cqs))
+				_, err := stream.RunMulti(context.Background(), strings.NewReader(corpus), cqs,
+					stream.Config{Workers: workers, Prefilter: mode}, func(r *stream.Result) error {
+						for i, m := range r.Matches {
+							if i > 0 && m.Query < r.Matches[i-1].Query {
+								t.Errorf("%s: record %d: query %d after query %d", name, r.Index, m.Query, r.Matches[i-1].Query)
+							}
+							fmt.Fprintf(&got[m.Query], "%d|%s\n", r.Index, m.Path)
+						}
+						return nil
+					})
+				for _, cq := range cqs {
+					cq.SetMetrics(nil)
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for i := range got {
+					if got[i].String() != want[i] {
+						t.Errorf("%s: query %d (%s): shared pass\n%swant\n%s", name, i, c.qs[i].src, got[i].String(), want[i])
+					}
+				}
+				docs[mode == stream.PrefilterAuto] = sink.Docs.Load()
+			}
+		}
+		if all := int64(len(records) * len(cqs)); docs[false] != all {
+			t.Errorf("%s: skim off evaluated %d (record, query) pairs, want all %d", c.name, docs[false], all)
+		}
+		if c.subset && !(0 < docs[true] && docs[true] < docs[false]) {
+			t.Errorf("%s: skim on evaluated %d pairs, skim off %d: no hint allowed a strict subset", c.name, docs[true], docs[false])
 		}
 	}
 }

@@ -239,11 +239,14 @@ type MultiStreamMatch struct {
 }
 
 // SelectStreamMulti evaluates every query in qs over one shared pass of
-// the stream: the input is split and parsed once, and each record drives
-// all the compiled match automata instead of one scan per query — the
-// serving path for N registered queries over one hot feed. Matches carry
-// the originating query's index; within one record they arrive grouped by
-// ascending query index, in document order within each query.
+// the stream: the input is split and parsed once, and each record is
+// evaluated once per fleet of up to 64 queries — one bottom-up pass and
+// one shared walk of the match automata, with a side or subhedge
+// condition several queries share evaluated once — instead of one scan
+// per query: the serving path for N registered queries over one hot feed.
+// Matches carry the originating query's index; within one record they
+// arrive grouped by ascending query index, in document order within each
+// query.
 //
 // Everything else follows the SelectStream contract — in-order delivery,
 // fault containment via OnError, budgets, tracing. Two multi-query
