@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check soak fuzz bench bench-json trace-overhead telemetry-overhead bench-gate bench-history loc
+.PHONY: all build test race vet perfbench-vet fmt check soak fuzz bench bench-json trace-overhead telemetry-overhead bench-gate bench-history loc
 
 all: check
 
@@ -20,6 +20,13 @@ race:
 vet:
 	$(GO) vet ./...
 
+# perfbench-vet compiles and vets the served benchmark, which is its own
+# module (perfbench/go.mod) and so outside ./...: offline, as
+# perfbench/run.sh builds it. It calls the library's exported API, so an
+# API change that breaks it fails here rather than in a benchmark run.
+perfbench-vet:
+	cd perfbench && GOPROXY=off GOTOOLCHAIN=local GOFLAGS= $(GO) vet ./...
+
 fmt:
 	@out=$$(gofmt -l .); \
 	if [ -n "$$out" ]; then \
@@ -37,10 +44,10 @@ soak:
 	$(GO) test -race -count=1 -run TestSoak ./internal/serve/ -soak 30s -v
 
 # fuzz is the opt-in fuzzing run, excluded from check like soak: each
-# fuzz target runs for 60 seconds. The four xmlhedge targets fuzz the
-# splitter against encoding/xml, the prefiltered reader against the
-# unfiltered one, the reader under resource limits, and skip-policy
-# recovery. FuzzFleet evaluates random query sets as fleets under random
+# fuzz target runs for 60 seconds. The five xmlhedge targets fuzz the
+# splitter and Parse against encoding/xml, the prefiltered reader against
+# the unfiltered one, the reader under resource limits, skip-policy
+# recovery, and reads one byte at a time against whole reads. FuzzFleet evaluates random query sets as fleets under random
 # allow-masks against the naive oracle. FuzzServeFeed posts each input to
 # a served feed over HTTP and requires the NDJSON of the library's shared
 # pass; it starts a server per input, so an input that reaches new code
@@ -48,7 +55,7 @@ soak:
 # is written under the package's testdata/fuzz; commit it as a regression
 # seed once fixed.
 fuzz:
-	@for t in FuzzSplitVsParse FuzzPrefilterDifferential FuzzRecordReader FuzzRecordReaderSkip; do \
+	@for t in FuzzSplitVsParse FuzzPrefilterDifferential FuzzRecordReader FuzzRecordReaderSkip FuzzReaderChunking; do \
 		echo "fuzz: $$t"; \
 		$(GO) test -run NONE -fuzz "^$$t\$$" -fuzztime 60s ./internal/xmlhedge/ || exit 1; \
 	done
@@ -57,12 +64,12 @@ fuzz:
 	@echo "fuzz: FuzzServeFeed"
 	$(GO) test -run NONE -fuzz '^FuzzServeFeed$$' -fuzztime 60s -fuzzminimizetime 10x ./internal/serve/
 
-# check is the CI gate: formatting, static analysis (go vet ./...), the
-# full test suite, one race-detector run over every package, the two ≤1%
+# check is the CI gate: formatting, static analysis (go vet ./... and the
+# benchmark module's perfbench-vet), the full test suite, one race-detector run over every package, the two ≤1%
 # timing budgets (disabled tracing and serving telemetry), and the one
 # throughput gate, bench-gate. Exact properties (allocations, transitions
 # per node, match sets) are pinned by the test suite itself.
-check: fmt vet build test race trace-overhead telemetry-overhead bench-gate
+check: fmt vet perfbench-vet build test race trace-overhead telemetry-overhead bench-gate
 
 bench:
 	$(GO) test -bench . -benchmem -run NONE ./...

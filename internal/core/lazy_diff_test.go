@@ -255,6 +255,32 @@ func TestRequiredLabels(t *testing.T) {
 	}
 }
 
+// TestRequiredLabelsOnce: a compiled query derives its required labels
+// once. A second call allocates nothing and returns the same set, the very
+// slice the first call returned.
+func TestRequiredLabelsOnce(t *testing.T) {
+	for _, src := range []string{"select(para<$x>; c [* ; r ; *])", "(figure | table) [* ; section ; *]", "(figure | table)"} {
+		q, err := ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cq, err := CompileQuery(q, ha.NewNames())
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := cq.RequiredLabels()
+		if allocs := testing.AllocsPerRun(10, func() { _ = cq.RequiredLabels() }); allocs != 0 {
+			t.Errorf("%q: RequiredLabels allocates %v per call after the first", src, allocs)
+		}
+		again := cq.RequiredLabels()
+		if strings.Join(again, " ") != strings.Join(RequiredLabelsOf(q), " ") ||
+			len(again) != len(first) || cap(again) != cap(first) ||
+			len(first) > 0 && &again[0] != &first[0] {
+			t.Errorf("%q: second call returned %q, first %q", src, again, first)
+		}
+	}
+}
+
 // TestRequiredLabelsSound is the prefilter soundness property at the
 // evaluation level: a document missing any required label has zero
 // matches. Documents are drawn over shrinking label subsets so absence

@@ -47,8 +47,17 @@ import (
 // RequiredLabels returns the sorted set of element labels without which the
 // query cannot match any record. An empty set means the prefilter has
 // nothing to work with (the query may match label-free records).
+//
+// The set is derived on first use and shared by every later call: callers
+// must not modify the returned slice. Racing first uses derive one each and
+// keep the first stored.
 func (cq *CompiledQuery) RequiredLabels() []string {
-	return requiredLabelsOf(cq.phr.PHR, cq.subExpr)
+	if req := cq.required.Load(); req != nil {
+		return *req
+	}
+	req := requiredLabelsOf(cq.phr.PHR, cq.subExpr)
+	cq.required.CompareAndSwap(nil, &req)
+	return *cq.required.Load()
 }
 
 // RequiredLabelsOf is the query-level extraction without compilation, used

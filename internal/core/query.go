@@ -133,6 +133,10 @@ type CompiledQuery struct {
 	// subExpr is the source e₁ expression (nil = any), retained for
 	// required-label extraction (RequiredLabels).
 	subExpr *hre.Expr
+	// required is the required-label set, derived on first use (see
+	// RequiredLabels): a field filled at compile time would weigh on every
+	// cached compilation, most of which no stream asks.
+	required atomic.Pointer[[]string]
 }
 
 // SetMetrics attaches (or, with nil, detaches) an evaluation sink: every

@@ -1,11 +1,14 @@
 package xmlhedge
 
 import (
+	"encoding/xml"
 	"errors"
+	"fmt"
 	"io"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"xpe/internal/hedge"
 	"xpe/internal/metrics"
@@ -291,6 +294,56 @@ func TestPrefilterValidEntitiesSkip(t *testing.T) {
 	}
 	if rec.Index != 1 || rr.Prefiltered() != 1 {
 		t.Fatalf("record %d, skipped %d; want record 1 after 1 skip", rec.Index, rr.Prefiltered())
+	}
+}
+
+// TestPrefilterSelfCloseRootLimits: a self-closing record root is skimmed
+// like any record, so a label-free one over the byte budget fails as it
+// does unfiltered instead of being skipped.
+func TestPrefilterSelfCloseRootLimits(t *testing.T) {
+	input := `<f><e a="0123456789"/><e/><e><price/></e></f>`
+	runSplitDiff(t, input, RecordOptions{MaxBytes: 8}, []string{"price"})
+	runSplitDiff(t, input, RecordOptions{MaxStreamBytes: 20}, []string{"price"})
+}
+
+// TestPrefilterSkipsDirective: the skim reads a directive inside a record
+// by the tokenizer's own directive rule, nested brackets and quotes
+// included, so a label-free record holding one is skipped like any other.
+func TestPrefilterSkipsDirective(t *testing.T) {
+	input := `<feed><e><!X y><x/></e><e><!Y [<!Z "]>">]><y/></e><e><price/></e></feed>`
+	rr := NewRecordReader(strings.NewReader(input),
+		RecordOptions{Prefilter: NewPrefilter([]string{"price"})})
+	rec, err := rr.Read(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Index != 2 || rr.Prefiltered() != 2 {
+		t.Fatalf("record %d, skipped %d; want record 2 after 2 skips", rec.Index, rr.Prefiltered())
+	}
+	runSplitDiff(t, input, RecordOptions{}, []string{"price"})
+}
+
+// TestSkippedMarkupNotBuffered: a 4 MiB comment and a 4 MiB processing
+// instruction between records pass through the read buffer a window at a
+// time, with or without a prefilter, and the line count stays exact across
+// them.
+func TestSkippedMarkupNotBuffered(t *testing.T) {
+	body := strings.Repeat("nineteen bytes, \n ", 4<<20/19)
+	input := "<feed>\n<e><x/></e><!--" + body + "--><e><price/></e><?pi " + body + "?><e><y/></e>\n</oops>"
+	lines := 1 + strings.Count(input, "\n")
+	for _, pf := range []*Prefilter{nil, NewPrefilter([]string{"price"})} {
+		rr := NewRecordReader(strings.NewReader(input), RecordOptions{Prefilter: pf})
+		var err error
+		for err == nil {
+			_, err = rr.Read(nil)
+		}
+		var se *xml.SyntaxError
+		if !errors.As(err, &se) || se.Line != lines {
+			t.Errorf("prefilter=%v: err = %v, want a syntax error on line %d", pf != nil, err, lines)
+		}
+		if got := len(rr.tr.buf); got >= 64<<10 {
+			t.Errorf("prefilter=%v: read buffer grew to %d bytes", pf != nil, got)
+		}
 	}
 }
 
@@ -841,4 +894,85 @@ func TestPrefilterSkipAllocsFlat(t *testing.T) {
 			t.Errorf("draining %d skipped records allocates %v, %d allocates %v; want equal", n, small, 4*n, large)
 		}
 	}
+}
+
+// readOutcome drains a reader over r with the skip policy and renders
+// everything it observably did: each record (index, path, node count,
+// hint word, tree with text), each failure, the terminal error, the bytes
+// consumed and the records prefiltered.
+func readOutcome(r io.Reader, opts RecordOptions) string {
+	rr := NewRecordReader(r, opts)
+	var b strings.Builder
+	for i := 0; i < 1<<14; i++ {
+		rec, err := rr.Read(nil)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			fmt.Fprintf(&b, "fail %v\n", err)
+			if !rr.CanRecover() {
+				break
+			}
+			if rerr := rr.Recover(); rerr != nil {
+				fmt.Fprintf(&b, "terminal %v\n", rerr)
+				break
+			}
+			continue
+		}
+		s, _ := ToString(rec.Hedge)
+		fmt.Fprintf(&b, "record %d %s %d %x %q\n", rec.Index, rec.Path, rec.Nodes, rec.Hint.W0, s)
+	}
+	fmt.Fprintf(&b, "off %d prefiltered %d\n", rr.InputOffset(), rr.Prefiltered())
+	return b.String()
+}
+
+// chunkDiff requires the reader to do exactly the same over input read
+// whole and read one byte per Read call, where every token, entity, name
+// and terminator straddles a refill, with and without a prefilter over
+// groups. Parse must agree across the two reads too.
+func chunkDiff(t *testing.T, input string, opts RecordOptions, groups ...[]string) {
+	t.Helper()
+	for _, pf := range []*Prefilter{nil, NewMultiPrefilter(groups)} {
+		o := opts
+		o.Prefilter = pf
+		whole := readOutcome(strings.NewReader(input), o)
+		if bytewise := readOutcome(iotest.OneByteReader(strings.NewReader(input)), o); bytewise != whole {
+			t.Fatalf("prefilter=%v: one-byte reads diverge from whole reads\nwhole:\n%s\none-byte:\n%s", pf != nil, whole, bytewise)
+		}
+	}
+	h1, err1 := Parse(strings.NewReader(input), Options{KeepWhitespace: opts.KeepWhitespace})
+	h2, err2 := Parse(iotest.OneByteReader(strings.NewReader(input)), Options{KeepWhitespace: opts.KeepWhitespace})
+	if fmt.Sprint(err1) != fmt.Sprint(err2) || !sameHedge(h1, h2) {
+		t.Fatalf("Parse diverges on one-byte reads: %s %v, %s %v", h1, err1, h2, err2)
+	}
+}
+
+// TestReaderChunking runs the differential corpora through chunkDiff.
+func TestReaderChunking(t *testing.T) {
+	docs := []struct {
+		input string
+		opts  RecordOptions
+	}{
+		{"<f>\r\n<e a='1\r\n2' b = \"&x;\">t&lt;&#x41;\r<![CDATA[c\r\nd]]]]><?p ??><!--c--->" +
+			"<!D [<!-- it's > --><!E '>'>]><price/></e>\r<e><x/>\r\n</e></f>", RecordOptions{Split: "e"}},
+		{"<f><e><a/></e><e><a></b></e><e><price>1</price></e><e>&bad;</e><e><price/>", RecordOptions{Split: "e"}},
+		{"<f><e> <a/> </e><e><price/> x </e></f>", RecordOptions{KeepWhitespace: true, MaxNodes: 4}},
+		{"<f><e><a><b><c/></b></a></e><e><price/></e></f>", RecordOptions{MaxDepth: 3, MaxBytes: 40}},
+		{"<f><e>" + strings.Repeat("<row>some text\r\n</row>", 300) + "</e><e><price/></e></f>", RecordOptions{}},
+	}
+	for _, c := range docs {
+		chunkDiff(t, c.input, c.opts, []string{"price"})
+	}
+}
+
+// FuzzReaderChunking holds the reader to chunkDiff on arbitrary input.
+func FuzzReaderChunking(f *testing.F) {
+	f.Add("<f>\r\n<e a='1'>t&lt;\r<![CDATA[c\r\n]]><?p?><!--c--><price/></e><e><x/></e></f>", "e", "price", false)
+	f.Add("<f><e><a></b></e><e><price/></e></f>", "e", "price", true)
+	f.Fuzz(func(t *testing.T, input, split, label string, keepWS bool) {
+		if len(input) > 1<<12 || len(split) > 16 || label == "" {
+			return
+		}
+		chunkDiff(t, input, RecordOptions{Split: split, KeepWhitespace: keepWS}, []string{label})
+	})
 }

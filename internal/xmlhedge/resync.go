@@ -11,14 +11,15 @@ package xmlhedge
 // attribute quoting, so a delimiter-looking sequence inside those is not
 // mistaken for a record) and start a fresh tokenizer at that offset.
 //
-// tailReader is the one read buffer every byte path shares. Besides the
-// unconsumed bytes it keeps the last tailWindow consumed ones in place,
-// just before the read position: compaction never drops them, so the
-// scanner and the tokenizer can be re-anchored at any recent absolute
-// offset without the underlying reader being seekable. rewind moves the
-// read position back onto them, and both simply read on from there.
+// tailReader is the one read buffer every byte path shares. Compaction
+// keeps the last tailWindow consumed bytes in place before the read
+// position, so rewind can re-anchor the scanner or the tokenizer at any
+// recent offset of an unseekable reader; a pin keeps every byte from the
+// pinned offset on, so the prefilter skim can return to a record it keeps.
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -28,80 +29,117 @@ import (
 // the tokenizer: `<` + split name + delimiter.
 const tailWindow = 256
 
+// errLookahead is fill's failure when a pin's cap leaves no room to read:
+// the skim gives up on the record and it parses normally.
+var errLookahead = errors.New("xmlhedge: prefilter lookahead exhausted")
+
 // tailReader buffers reads from src in buf, unconsumed bytes in buf[r:w],
-// for the tokenizer, the prefilter skim, and the resynchronization
-// scanner alike. off is the absolute offset of the next byte to consume.
-// Everything in buf[:r] was consumed already: compaction keeps the last
-// tailWindow consumed bytes there, so rewind can re-deliver them.
+// for the tokenizer and the resynchronization scanner alike. off is the
+// absolute offset of the next byte to consume. Everything in buf[:r] was
+// consumed already: compaction keeps the last tailWindow consumed bytes
+// there, and every byte from the pin on, so rewind can re-deliver them.
 type tailReader struct {
 	src  io.Reader
 	buf  []byte
 	r, w int
 	rerr error // sticky read error from src, delivered after the buffer drains
 	off  int64
+
+	// nl counts the '\n' bytes before offset nlAt ≤ off: lines are counted
+	// in bulk when compaction drops bytes or an error asks, not per byte.
+	nl   int
+	nlAt int64
+
+	// pin, when not negative, is an absolute offset compaction keeps
+	// every byte from; fill buffers at most pinCap bytes past it.
+	pin    int64
+	pinCap int
 }
 
 func newTailReader(r io.Reader) *tailReader {
-	return &tailReader{src: r, buf: make([]byte, 4096)}
+	return &tailReader{src: r, buf: make([]byte, 4096), pin: -1}
 }
 
-// compact moves the unconsumed bytes and the replay tail before them to
-// the front of buf, freeing room for reads at the end.
+// window returns the buffered unconsumed bytes, possibly none.
+func (t *tailReader) window() []byte { return t.buf[t.r:t.w] }
+
+// idx is the buffer index of absolute offset abs, which must be buffered.
+func (t *tailReader) idx(abs int64) int { return t.r - int(t.off-abs) }
+
+// lines returns the number of '\n' bytes consumed so far.
+func (t *tailReader) lines() int {
+	t.countTo(t.r)
+	return t.nl
+}
+
+// countTo advances the newline count through buffer index i.
+func (t *tailReader) countTo(i int) {
+	if from := t.idx(t.nlAt); i > from {
+		t.nl += bytes.Count(t.buf[from:i], newline)
+		t.nlAt += int64(i - from)
+	}
+}
+
+// compact moves the unconsumed bytes, the replay tail and any pinned bytes
+// to the front of buf, freeing room for reads at the end.
 func (t *tailReader) compact() {
 	keep := min(t.r, tailWindow)
+	if t.pin >= 0 {
+		keep = max(keep, int(t.off-t.pin))
+	}
+	if keep == t.r {
+		return
+	}
+	t.countTo(t.r - keep)
 	n := copy(t.buf, t.buf[t.r-keep:t.w])
 	t.r, t.w = keep, n
 }
 
+// fill reads more input after the buffered bytes, keeping all of them: a
+// full or drained buffer is compacted first, and one still full doubles.
+// It returns nil once a byte has arrived, the sticky read error at the end
+// of input, and errLookahead when a pin's cap is reached.
+func (t *tailReader) fill() error {
+	if t.rerr != nil {
+		return t.rerr
+	}
+	if t.w == len(t.buf) || t.r == t.w {
+		t.compact()
+	}
+	end := len(t.buf)
+	if t.pin >= 0 {
+		end = t.idx(t.pin) + t.pinCap
+		if t.w >= end {
+			return errLookahead
+		}
+	}
+	if t.w == len(t.buf) {
+		nb := make([]byte, 2*len(t.buf))
+		copy(nb, t.buf[:t.w])
+		t.buf = nb
+	}
+	end = min(end, len(t.buf))
+	for {
+		n, err := t.src.Read(t.buf[t.w:end])
+		t.w, t.rerr = t.w+n, err
+		if n > 0 {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
 // peek returns a non-empty slice of the buffered unconsumed bytes,
-// reading more input when none are buffered. On failure the slice is empty
-// and the error is sticky.
+// reading more input when none are buffered, or fill's error.
 func (t *tailReader) peek() ([]byte, error) {
-	if t.r == t.w && !t.refill() {
-		return nil, t.rerr
+	if t.r == t.w {
+		if err := t.fill(); err != nil {
+			return nil, err
+		}
 	}
 	return t.buf[t.r:t.w], nil
-}
-
-// refill is peek's slow path: compact, then read until a byte arrives or
-// the source fails. It reports whether any byte is buffered.
-func (t *tailReader) refill() bool {
-	if t.rerr != nil {
-		return false
-	}
-	t.compact()
-	for t.w == t.r && t.rerr == nil {
-		n, err := t.src.Read(t.buf[t.w:])
-		t.w, t.rerr = t.w+n, err
-	}
-	return t.w > t.r
-}
-
-// fillTo tries to ensure at least n unconsumed bytes are buffered, reading
-// more input and growing the buffer as needed, and returns the buffered
-// window (shorter than n when the source is exhausted or erroring). It
-// consumes nothing: the tokenizer resumes exactly where it was, and a
-// relative index into the returned window stays valid across further fills
-// (compaction and growth preserve the unconsumed bytes, though they may
-// move them: callers re-slice the window after every fill).
-func (t *tailReader) fillTo(n int) []byte {
-	for t.w-t.r < n && t.rerr == nil {
-		if t.w == len(t.buf) {
-			if t.r > tailWindow {
-				t.compact()
-			} else {
-				nb := make([]byte, 2*len(t.buf))
-				copy(nb, t.buf[:t.w])
-				t.buf = nb
-			}
-		}
-		m, err := t.src.Read(t.buf[t.w:])
-		t.w += m
-		if err != nil {
-			t.rerr = err
-		}
-	}
-	return t.buf[t.r:t.w]
 }
 
 // consume advances past n peeked bytes. They stay in buf, where rewind
@@ -111,14 +149,17 @@ func (t *tailReader) consume(n int) {
 	t.off += int64(n)
 }
 
-// ReadByte implements io.ByteReader for the raw resynchronization scanner.
-func (t *tailReader) ReadByte() (byte, error) {
-	w, err := t.peek()
-	if err != nil {
-		return 0, err
+// skipTo consumes the window through the first occurrence of pat and
+// reports true; failing that, it consumes all but the last len(pat)-1
+// bytes, which may begin one, and reports false: fill and search again.
+func (t *tailReader) skipTo(pat []byte) bool {
+	w := t.window()
+	if j := bytes.Index(w, pat); j >= 0 {
+		t.consume(j + len(pat))
+		return true
 	}
-	t.consume(1)
-	return w[0], nil
+	t.consume(max(len(w)-len(pat)+1, 0))
+	return false
 }
 
 // rewind moves the read position back to absolute offset abs, so the
@@ -129,9 +170,31 @@ func (t *tailReader) rewind(abs int64) error {
 	if back < 0 || back > tailWindow || back > int64(t.r) {
 		return fmt.Errorf("xmlhedge: resync offset %d outside the replay window ending at %d", abs, t.off)
 	}
-	t.r -= int(back)
-	t.off = abs
+	t.moveTo(abs)
 	return nil
+}
+
+// moveTo sets the read position back to the buffered offset abs.
+func (t *tailReader) moveTo(abs int64) {
+	if t.nlAt > abs {
+		t.nl -= bytes.Count(t.buf[t.idx(abs):t.idx(t.nlAt)], newline)
+		t.nlAt = abs
+	}
+	t.r = t.idx(abs)
+	t.off = abs
+}
+
+// pinHere makes compaction keep every byte from the read position on, at
+// most limit of them, until unpin.
+func (t *tailReader) pinHere(limit int) { t.pin, t.pinCap = t.off, limit }
+
+// unpin releases the pin, first moving the read position back to it when
+// back is set.
+func (t *tailReader) unpin(back bool) {
+	if back {
+		t.moveTo(t.pin)
+	}
+	t.pin = -1
 }
 
 // scanForRecord raw-scans from rr.scanPos for the next plausible record
@@ -142,9 +205,9 @@ func (rr *RecordReader) scanForRecord() (int64, error) {
 	if err := rr.tr.rewind(rr.scanPos); err != nil {
 		return 0, err
 	}
-	sc := &rawScanner{r: rr.tr, pos: rr.scanPos, rr: rr}
+	sc := &rawScanner{t: rr.tr, rr: rr}
 	pos, err := sc.findRecordStart(rr.opts.Split)
-	rr.scanPos = sc.pos
+	rr.scanPos = rr.tr.off
 	if err != nil {
 		return 0, err
 	}
@@ -155,28 +218,31 @@ func (rr *RecordReader) scanForRecord() (int64, error) {
 }
 
 // rawScanner walks raw bytes looking for a start tag of a given name,
-// skipping constructs whose content is not markup: comments, CDATA
-// sections, processing instructions, directives, and quoted attribute
-// values. It is only ever used in degraded mode, after markup corruption;
-// it favors robustness over speed.
+// skipping comments, CDATA sections, processing instructions, directives
+// and quoted attribute values. It runs only in degraded mode, after markup
+// corruption, and validates nothing: the tokenizer parses what it finds.
 type rawScanner struct {
-	r   io.ByteReader
-	pos int64 // absolute offset of the next unread byte
-	rr  *RecordReader
+	t  *tailReader
+	rr *RecordReader
 }
 
-func (s *rawScanner) next() (byte, error) {
-	if s.pos&1023 == 0 && s.rr != nil {
-		if err := s.rr.pollNowAt(s.pos); err != nil {
-			return 0, err
+// fill reads the next window of input, polling the reader's context and
+// stream budget first: one poll per window.
+func (s *rawScanner) fill() error {
+	if err := s.rr.pollNowAt(s.t.off); err != nil {
+		return err
+	}
+	return s.t.fill()
+}
+
+// peek returns the unconsumed window, filling it when empty.
+func (s *rawScanner) peek() ([]byte, error) {
+	if s.t.r == s.t.w {
+		if err := s.fill(); err != nil {
+			return nil, err
 		}
 	}
-	b, err := s.r.ReadByte()
-	if err != nil {
-		return 0, err
-	}
-	s.pos++
-	return b, nil
+	return s.t.window(), nil
 }
 
 // findRecordStart returns the absolute offset of the next `<name` whose
@@ -185,52 +251,52 @@ func (s *rawScanner) findRecordStart(name string) (int64, error) {
 	if name == "" {
 		return 0, fmt.Errorf("xmlhedge: resynchronization requires a named split")
 	}
-	var b byte
-	pending := false // b holds an already-read byte to reprocess
 	for {
-		if !pending {
-			var err error
-			if b, err = s.next(); err != nil {
-				return 0, err
-			}
-		}
-		pending = false
-		if b != '<' {
-			continue
-		}
-		start := s.pos - 1
-		c, err := s.next()
+		w, err := s.peek()
 		if err != nil {
 			return 0, err
 		}
-		switch {
+		i := bytes.IndexByte(w, '<')
+		if i < 0 {
+			s.t.consume(len(w))
+			continue
+		}
+		start := s.t.off + int64(i)
+		s.t.consume(i + 1)
+		if w, err = s.peek(); err != nil {
+			return 0, err
+		}
+		switch c := w[0]; {
 		case c == '<':
 			// Malformed "<<": the second '<' is a fresh candidate.
-			b, pending = c, true
 		case c == '!':
+			s.t.consume(1)
 			err = s.skipBang()
 		case c == '?':
-			err = s.skipUntil("?>")
+			s.t.consume(1)
+			err = s.skipPast(piEnd)
 		case c == '/':
+			s.t.consume(1)
 			err = s.skipTag()
 		case isNameStart(c):
-			ok, d, merr := s.matchName(name, c)
+			ok, d, merr := s.matchName(name)
 			if merr != nil {
 				return 0, merr
 			}
 			if ok && (d == '>' || d == '/' || isXMLSpace(d)) {
 				return start, nil
 			}
-			switch {
-			case d == '<':
-				// The tag was cut short by another '<'; rescan from it.
-				b, pending = d, true
-			case d != '>':
-				err = s.skipTag()
+			// A '<' cutting the tag short is rescanned as a candidate.
+			if d != '<' {
+				s.t.consume(1)
+				if d != '>' {
+					err = s.skipTag()
+				}
 			}
 		default:
 			// "<" followed by junk ('=', digits, ...): not a tag; keep
-			// scanning from the byte after it. A junk '<'? handled above.
+			// scanning from the byte after it.
+			s.t.consume(1)
 		}
 		if err != nil {
 			return 0, err
@@ -238,45 +304,52 @@ func (s *rawScanner) findRecordStart(name string) (int64, error) {
 	}
 }
 
-// matchName consumes name characters after the already-read first byte c,
-// reporting whether they spell exactly name, plus the first non-name byte.
-func (s *rawScanner) matchName(name string, c byte) (match bool, delim byte, err error) {
-	ok := name[0] == c
-	n := 1
+// matchName consumes the name at the read position, reporting whether it
+// spells exactly name, and returns the byte after it, unconsumed.
+func (s *rawScanner) matchName(name string) (match bool, delim byte, err error) {
+	n, ok := 0, true
 	for {
-		d, derr := s.next()
-		if derr != nil {
-			return false, 0, derr
+		w, err := s.peek()
+		if err != nil {
+			return false, 0, err
 		}
-		if !isNameByte(d) {
-			return ok && n == len(name), d, nil
+		i := 0
+		for ; i < len(w) && isNameByte(w[i]); i++ {
+			if ok && n < len(name) && name[n] == w[i] {
+				n++
+			} else {
+				ok = false
+			}
 		}
-		if ok && n < len(name) && name[n] == d {
-			n++
-		} else {
-			ok = false
+		s.t.consume(i)
+		if i < len(w) {
+			return ok && n == len(name), w[i], nil
 		}
 	}
 }
 
-// skipTag consumes bytes until the '>' closing the current tag, honoring
+// skipTag consumes bytes through the '>' closing the current tag, honoring
 // single- and double-quoted attribute values.
 func (s *rawScanner) skipTag() error {
-	var q byte
 	for {
-		b, err := s.next()
+		w, err := s.peek()
 		if err != nil {
 			return err
 		}
-		switch {
-		case q != 0:
-			if b == q {
-				q = 0
-			}
-		case b == '\'' || b == '"':
-			q = b
-		case b == '>':
+		i := 0
+		for i < len(w) && w[i] != '>' && w[i] != '"' && w[i] != '\'' {
+			i++
+		}
+		if i == len(w) {
+			s.t.consume(i)
+			continue
+		}
+		s.t.consume(i + 1)
+		if w[i] == '>' {
 			return nil
+		}
+		if err := s.skipPast(quoteEnd[w[i]]); err != nil {
+			return err
 		}
 	}
 }
@@ -286,50 +359,36 @@ func (s *rawScanner) skipTag() error {
 // DOCTYPE with an internal subset may end the skip early, which only costs
 // extra scanning).
 func (s *rawScanner) skipBang() error {
-	b, err := s.next()
+	w, err := s.peek()
 	if err != nil {
 		return err
 	}
-	switch b {
+	s.t.consume(1)
+	switch w[0] {
 	case '-':
-		c, err := s.next()
-		if err != nil {
+		if w, err = s.peek(); err != nil {
 			return err
 		}
-		if c == '-' {
-			return s.skipUntil("-->")
+		if s.t.consume(1); w[0] == '-' {
+			return s.skipPast(commentEnd)
 		}
-		return s.skipTag()
 	case '[':
-		return s.skipUntil("]]>")
+		return s.skipPast(cdataEnd)
 	case '>':
 		return nil
-	default:
-		return s.skipTag()
 	}
+	return s.skipTag()
 }
 
-// skipUntil consumes bytes until the 2–3 byte terminator pat has been
-// seen, matching via a sliding window (a naive restart would miss
-// overlapping occurrences like "-->" inside "--->").
-func (s *rawScanner) skipUntil(pat string) error {
-	var w [3]byte
-	n := 0
-	for {
-		b, err := s.next()
-		if err != nil {
+// skipPast consumes input through the next occurrence of pat, with the
+// tokenizer's terminator search.
+func (s *rawScanner) skipPast(pat []byte) error {
+	for !s.t.skipTo(pat) {
+		if err := s.fill(); err != nil {
 			return err
 		}
-		if n < len(w) {
-			w[n] = b
-			n++
-		} else {
-			w[0], w[1], w[2] = w[1], w[2], b
-		}
-		if n >= len(pat) && string(w[n-len(pat):n]) == pat {
-			return nil
-		}
 	}
+	return nil
 }
 
 // isNameStart reports whether b can begin an XML name. Multi-byte UTF-8
@@ -340,18 +399,17 @@ func isNameStart(b byte) bool { return nameStartTab[b] }
 // isNameByte reports whether b can appear inside an XML name.
 func isNameByte(b byte) bool { return nameByteTab[b] }
 
-// nameStartTab and nameByteTab are isNameStart and isNameByte as tables:
-// one load per byte on the scanners' hot loops.
-var nameStartTab, nameByteTab = func() (start, inside [256]bool) {
+// isXMLSpace reports whether b is XML whitespace.
+func isXMLSpace(b byte) bool { return spaceTab[b] }
+
+// nameStartTab, nameByteTab and spaceTab are isNameStart, isNameByte and
+// isXMLSpace as tables: one load per byte on the scanners' hot loops.
+var nameStartTab, nameByteTab, spaceTab = func() (start, inside, space [256]bool) {
 	for i := range start {
 		b := byte(i)
 		start[i] = b == '_' || b == ':' || (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z') || b >= 0x80
 		inside[i] = start[i] || b == '-' || b == '.' || (b >= '0' && b <= '9')
+		space[i] = b == ' ' || b == '\t' || b == '\r' || b == '\n'
 	}
-	return start, inside
+	return start, inside, space
 }()
-
-// isXMLSpace reports whether b is XML whitespace.
-func isXMLSpace(b byte) bool {
-	return b == ' ' || b == '\t' || b == '\r' || b == '\n'
-}

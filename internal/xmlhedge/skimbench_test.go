@@ -6,13 +6,13 @@ import (
 	"testing"
 )
 
-// Benchmarks for the reader's two byte paths on feed-shaped input: the
-// skim, which validates a record and takes label presence from its tag
-// names without building anything, and the tokenizer, which parses a kept
+// Benchmarks for the reader's two uses of the tokenizer on feed-shaped
+// input: the skim, which runs it over a record building nothing and takes
+// label presence from the tag names, and the parse, which builds a kept
 // record into arena nodes. A skipped record costs one skim; a kept one
-// costs a skim and a tokenize. The skim should run well ahead of the
-// tokenizer (see ROADMAP.md for the recorded MB/s); if the two converge,
-// the cascade stops paying for itself.
+// costs a skim and a parse. The skim should run well ahead of the parse
+// (EXPERIMENTS.md, section R1, records the MB/s); if the two converge, the
+// cascade stops paying for itself.
 
 func benchSparseFeed(n int) string {
 	var b strings.Builder

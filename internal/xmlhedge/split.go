@@ -39,14 +39,12 @@ type RecordOptions struct {
 	MaxStreamBytes int64
 	// KeepWhitespace retains whitespace-only text nodes (see Options).
 	KeepWhitespace bool
-	// Prefilter, when non-nil, is checked against each record's raw bytes
-	// before parsing: a record whose element names satisfy none of its
-	// requirement groups is skipped whole — no parse, no nodes, one bulk
-	// consume — and burns its index and sibling slot like a failed record.
-	// The skim only skips what it has fully validated (see prefilter.go):
-	// any record it is unsure about parses normally, byte-identically to an
-	// unfiltered run. Prefiltering is suspended in degraded (post-resync)
-	// mode.
+	// Prefilter, when non-nil, is checked against each record before it is
+	// built: a record whose element names satisfy none of its requirement
+	// groups is skipped whole — tokenized, but no nodes built — and burns
+	// its index and sibling slot like a failed record. Any other record
+	// parses byte-identically to an unfiltered run (see prefilter.go).
+	// Prefiltering is suspended in degraded (post-resync) mode.
 	Prefilter *Prefilter
 	// Ctx, when non-nil, is polled every few hundred decoder tokens, so a
 	// cancellation interrupts the splitter even in the middle of a huge
@@ -275,7 +273,7 @@ type Record struct {
 	// the word-slice bitset is set exactly when every label requirement
 	// group i names is an element name of the record, so the group may
 	// match (see Prefilter.verdict, Hint.Allows). When no verdict was computed —
-	// prefilter off, skim aborted, degraded mode — it is HintAll, so
+	// prefilter off, record failed the skim, degraded mode — it is HintAll, so
 	// evaluators must treat a set bit as "evaluate" and only a clear bit
 	// as proof of non-matching.
 	Hint Hint
@@ -311,8 +309,12 @@ type RecordReader struct {
 	tr   *tailReader
 	tk   *tokenizer // nil only in degraded mode between records
 	opts RecordOptions
-	idx  int   // next record index
-	idxs []int // sibling index of each open outside-record element
+	// rootDepth is where the default split finds its records: 1, the
+	// children of the document element, or 0 when Parse reads each
+	// top-level element, the document element itself, as one record.
+	rootDepth int
+	idx       int   // next record index
+	idxs      []int // sibling index of each open outside-record element
 	// counts[d] = children seen so far at depth d outside records
 	// (counts[0] counts top-level nodes).
 	counts []int
@@ -327,8 +329,6 @@ type RecordReader struct {
 	polls    int        // tokens since the reader started; drives poll sampling
 	// flushedBytes is the input offset already flushed to opts.Metrics.
 	flushedBytes int64
-	// skimStack is the prefilter skim's reusable open-tag extent stack.
-	skimStack []int
 	// prefiltered counts records skipped by the prefilter over the reader's
 	// lifetime.
 	prefiltered int64
@@ -343,7 +343,7 @@ type RecordReader struct {
 // NewRecordReader starts splitting r under the given options.
 func NewRecordReader(r io.Reader, opts RecordOptions) *RecordReader {
 	tr := newTailReader(r)
-	return &RecordReader{tr: tr, tk: newTokenizer(tr), opts: opts, counts: []int{0}}
+	return &RecordReader{tr: tr, tk: newTokenizer(tr), opts: opts, rootDepth: 1, counts: []int{0}}
 }
 
 // InputOffset returns the number of input bytes consumed so far.
@@ -627,7 +627,7 @@ func (rr *RecordReader) read(a *Arena) (Record, error) {
 			// outside-record element.
 			rr.idxs = rr.idxs[:len(rr.idxs)-1]
 		case tokText:
-			if rr.opts.KeepWhitespace || !isSpace(tk.text) {
+			if rr.opts.textNode(tk.text) {
 				if len(rr.idxs) == 0 {
 					if isSpace(tk.text) {
 						continue // prolog/epilog whitespace
@@ -703,11 +703,11 @@ func (rr *RecordReader) failDegradedStart(err error, pos int64) error {
 }
 
 // isRecordRoot decides whether a start element outside any record begins a
-// record: under the default split, any child of a top-level element; under
-// a named split, any element with the split name.
+// record: under the default split, any element at rootDepth; under a named
+// split, any element with the split name.
 func (rr *RecordReader) isRecordRoot(name []byte, depth int) bool {
 	if rr.opts.Split == "" {
-		return depth == 1
+		return depth == rr.rootDepth
 	}
 	return string(name) == rr.opts.Split
 }
@@ -742,11 +742,8 @@ func (rr *RecordReader) readRecord(a *Arena, startOff int64) (Record, error) {
 		}
 		switch tk.kind {
 		case tokStart:
-			if rr.opts.MaxDepth > 0 && len(rr.stack)+1 > rr.opts.MaxDepth {
-				return Record{}, rr.limitErr(&rec, "depth", rr.opts.MaxDepth, len(rr.stack)+1)
-			}
-			if rr.opts.MaxNodes > 0 && rec.Nodes+1 > rr.opts.MaxNodes {
-				return Record{}, rr.limitErr(&rec, "nodes", rr.opts.MaxNodes, len(rr.stack)+1)
+			if kind, limit := rr.opts.overLimit(true, len(rr.stack), rec.Nodes); kind != "" {
+				return Record{}, rr.limitErr(&rec, kind, limit, len(rr.stack)+1)
 			}
 			rec.Nodes++
 			var n *hedge.Node
@@ -761,11 +758,11 @@ func (rr *RecordReader) readRecord(a *Arena, startOff int64) (Record, error) {
 		case tokEnd:
 			rr.stack = rr.stack[:len(rr.stack)-1]
 		case tokText:
-			if !rr.opts.KeepWhitespace && isSpace(tk.text) {
+			if !rr.opts.textNode(tk.text) {
 				continue
 			}
-			if rr.opts.MaxNodes > 0 && rec.Nodes+1 > rr.opts.MaxNodes {
-				return Record{}, rr.limitErr(&rec, "nodes", rr.opts.MaxNodes, len(rr.stack))
+			if kind, limit := rr.opts.overLimit(false, len(rr.stack), rec.Nodes); kind != "" {
+				return Record{}, rr.limitErr(&rec, kind, limit, len(rr.stack))
 			}
 			rec.Nodes++
 			var n *hedge.Node
@@ -788,6 +785,25 @@ func (rr *RecordReader) readRecord(a *Arena, startOff int64) (Record, error) {
 		rec.Hedge = hedge.Hedge{root}
 	}
 	return rec, nil
+}
+
+// overLimit names the per-record limit the node a token adds would break,
+// given the record's open depth and node count so far: a start tag (elem)
+// opens depth+1, and either kind adds one node. It returns "" when none.
+func (o *RecordOptions) overLimit(elem bool, depth, nodes int) (kind string, limit int) {
+	switch {
+	case elem && o.MaxDepth > 0 && depth+1 > o.MaxDepth:
+		return "depth", o.MaxDepth
+	case o.MaxNodes > 0 && nodes+1 > o.MaxNodes:
+		return "nodes", o.MaxNodes
+	}
+	return "", 0
+}
+
+// textNode reports whether character data inside a record becomes a text
+// node: unless KeepWhitespace is set, whitespace-only runs are dropped.
+func (o *RecordOptions) textNode(text []byte) bool {
+	return o.KeepWhitespace || !isSpace(text)
 }
 
 // limitErr abandons the record over a resource bound, planning the token

@@ -29,13 +29,23 @@ func readAll(t *testing.T, input string, opts RecordOptions, a *Arena) []Record 
 	}
 }
 
+// mustOracle is the encoding/xml oracle's tree of input, which must parse.
+func mustOracle(t *testing.T, input string) hedge.Hedge {
+	t.Helper()
+	h, err := oracleParse(input, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 func TestRecordReaderDefaultSplit(t *testing.T) {
 	input := "<feed><entry><a/><b>hi</b></entry><meta/><entry><a/></entry></feed>"
 	recs := readAll(t, input, RecordOptions{}, nil)
 	if len(recs) != 3 {
 		t.Fatalf("records = %d, want 3", len(recs))
 	}
-	whole := MustParseString(input)
+	whole := mustOracle(t, input)
 	for i, rec := range recs {
 		if got, want := rec.Path.String(), (hedge.Path{0, i}).String(); got != want {
 			t.Errorf("record %d path = %s, want %s", i, got, want)
@@ -56,7 +66,7 @@ func TestRecordReaderNamedSplit(t *testing.T) {
 	if len(recs) != 3 {
 		t.Fatalf("records = %d, want 3", len(recs))
 	}
-	whole := MustParseString(input)
+	whole := mustOracle(t, input)
 	wantPaths := []string{"1.1.1", "1.1.3", "1.2"}
 	for i, rec := range recs {
 		if rec.Path.String() != wantPaths[i] {
@@ -84,7 +94,7 @@ func TestRecordReaderArenaReuse(t *testing.T) {
 	input := "<feed><e><a/><b/>text</e><e><c><d/></c></e><e/></feed>"
 	var a Arena
 	rr := NewRecordReader(strings.NewReader(input), RecordOptions{})
-	whole := MustParseString(input)
+	whole := mustOracle(t, input)
 	for i := 0; ; i++ {
 		a.Reset()
 		rec, err := rr.Read(&a)

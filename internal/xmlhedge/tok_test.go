@@ -3,6 +3,7 @@ package xmlhedge
 import (
 	"encoding/xml"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -28,14 +29,89 @@ func splitAll(t *testing.T, doc string, opts RecordOptions) ([]Record, error) {
 	}
 }
 
-// oracleCompare parses doc with the encoding/xml-based in-memory parser
-// and asserts every record the tokenizer-based splitter produced is
-// subtree-identical to the node at the record's path in the oracle tree.
-// KeepWhitespace on both sides keeps their whitespace policies aligned.
+// oracleParse is the test oracle: doc decoded by encoding/xml into a
+// hedge, elements to nodes named by their local name and character data to
+// text leaves, whitespace-only text dropped unless opts.KeepWhitespace and
+// always outside the document element. The package itself reads XML only
+// through its tokenizer; this is the independent reading it is held to.
+func oracleParse(doc string, opts Options) (hedge.Hedge, error) {
+	dec := xml.NewDecoder(strings.NewReader(doc))
+	var stack []*hedge.Node
+	var top hedge.Hedge
+	appendNode := func(n *hedge.Node) {
+		if len(stack) == 0 {
+			top = append(top, n)
+			return
+		}
+		parent := stack[len(stack)-1]
+		parent.Children = append(parent.Children, n)
+	}
+	for {
+		tok, err := dec.Token()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		switch t := tok.(type) {
+		case xml.StartElement:
+			n := hedge.NewElem(t.Name.Local)
+			appendNode(n)
+			stack = append(stack, n)
+		case xml.EndElement:
+			if len(stack) == 0 {
+				return nil, fmt.Errorf("unbalanced end element %s", t.Name.Local)
+			}
+			stack = stack[:len(stack)-1]
+		case xml.CharData:
+			text := string(t)
+			if !opts.KeepWhitespace && strings.TrimSpace(text) == "" {
+				continue
+			}
+			if len(stack) == 0 {
+				if strings.TrimSpace(text) == "" {
+					continue // prolog/epilog whitespace
+				}
+				return nil, errors.New("character data outside the document element")
+			}
+			n := hedge.NewVar(hedge.TextVar)
+			n.Text = text
+			appendNode(n)
+		}
+	}
+	if len(stack) != 0 {
+		return nil, fmt.Errorf("unexpected end of input inside <%s>", stack[len(stack)-1].Name)
+	}
+	if len(top) == 0 {
+		return nil, errors.New("no document element")
+	}
+	return top, nil
+}
+
+// sameHedge is Hedge.Equal with text payloads compared too.
+func sameHedge(a, b hedge.Hedge) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, n := range a {
+		m := b[i]
+		if n.Kind != m.Kind || n.Name != m.Name || n.Text != m.Text || !sameHedge(n.Children, m.Children) {
+			return false
+		}
+	}
+	return true
+}
+
+// oracleCompare parses doc with the encoding/xml oracle and asserts every
+// record the tokenizer-based splitter produced is subtree-identical, text
+// included, to the node at the record's path in the oracle tree, and that
+// Parse returns the oracle tree whole. KeepWhitespace on all sides keeps
+// their whitespace policies aligned.
 func oracleCompare(t *testing.T, doc string) {
 	t.Helper()
 	recs, serr := splitAll(t, doc, RecordOptions{KeepWhitespace: true})
-	oracle, perr := ParseString(doc, Options{KeepWhitespace: true})
+	oracle, perr := oracleParse(doc, Options{KeepWhitespace: true})
 	if serr != nil || perr != nil {
 		// Error agreement is checked by the fuzzer within known-divergence
 		// limits; the table entries here are all well-formed.
@@ -55,9 +131,12 @@ func oracleCompare(t *testing.T, doc string) {
 		if want == nil {
 			t.Fatalf("record %d path %s not in oracle tree", rec.Index, rec.Path)
 		}
-		if !rec.Hedge.Equal(hedge.Hedge{want}) {
+		if !sameHedge(rec.Hedge, hedge.Hedge{want}) {
 			t.Fatalf("record %d at %s differs from oracle subtree", rec.Index, rec.Path)
 		}
+	}
+	if h, err := ParseString(doc, Options{KeepWhitespace: true}); err != nil || !sameHedge(h, oracle) {
+		t.Fatalf("Parse = %s, %v; oracle %s", h, err, oracle)
 	}
 }
 
@@ -124,20 +203,66 @@ func TestTokenizerErrors(t *testing.T) {
 	}
 }
 
-// FuzzSplitVsParse cross-checks the tokenizer-based splitter against the
-// encoding/xml-based Parse on arbitrary input: whenever both accept a
-// document, every record must equal the oracle subtree at its path. (Error
-// agreement is deliberately not asserted — the tokenizer is laxer on
-// attribute-value entities and encoding declarations by design.)
+// TestTokenizerErrorLines holds the tokenizer's error line numbers, which
+// the read buffer counts in bulk, to encoding/xml's on documents both
+// reject at the same place, including ones whose line ends fall inside
+// markup, across many buffer refills, and inside a prefiltered record.
+func TestTokenizerErrorLines(t *testing.T) {
+	long := strings.Repeat("a line of text\n", 1000)
+	docs := map[string]string{
+		"text":      "<f>\n<r>" + long + "</r>\n<r></x></r></f>",
+		"comment":   "<f><!--\n" + long + "--><r>\n</x></r></f>",
+		"pi":        "<f><?p\n" + long + "?>\n<r></x></r></f>",
+		"cdata":     "<f><r><![CDATA[" + long + "]]></r>\n<r></x></r></f>",
+		"attribute": "<f><r a='\n" + long + "'\n b=\"1\"></r><r></x></r></f>",
+		"tag-space": "<f><r\n\n\n></r\n\n>\n<r></x></r></f>",
+		"crlf":      "<f>\r\n<r>a\r\nb</r>\r\n<r></x></r></f>",
+		"entity":    "<f>\n<r>&lt;\n&#65;</r>\n<r>&bad;</r></f>",
+		"eof":       "<f>\n<r>" + long,
+	}
+	for name, doc := range docs {
+		t.Run(name, func(t *testing.T) {
+			_, oerr := oracleParse(doc, Options{})
+			var want *xml.SyntaxError
+			if !errors.As(oerr, &want) {
+				t.Fatalf("oracle err = %v, want a syntax error", oerr)
+			}
+			for _, opts := range []RecordOptions{{}, {Prefilter: NewPrefilter([]string{"absent"})}} {
+				_, err := splitAll(t, doc, opts)
+				var got *xml.SyntaxError
+				if !errors.As(err, &got) || got.Line != want.Line {
+					t.Errorf("prefilter=%v: err = %v, want line %d (%v)", opts.Prefilter != nil, err, want.Line, oerr)
+				}
+			}
+		})
+	}
+}
+
+// FuzzSplitVsParse cross-checks the tokenizer-based splitter and Parse
+// against the encoding/xml oracle on arbitrary input: whenever the oracle
+// and the splitter accept a document, every record must equal the oracle
+// subtree at its path, and whenever the oracle and Parse accept it, Parse
+// must return the oracle tree. (Error agreement is deliberately not
+// asserted — the tokenizer is laxer on attribute-value entities and
+// encoding declarations by design; TestParseDivergences pins each
+// difference.)
 func FuzzSplitVsParse(f *testing.F) {
 	f.Add(`<f><r><id>1</id></r><r a="x">t&amp;t</r></f>`)
 	f.Add("<f>\r\n<r>a<!--c--><![CDATA[<&]]></r><r/></f>")
 	f.Add(`<?xml version="1.0"?><!DOCTYPE f [<!ELEMENT f ANY>]><f><n:r>x</n:r></f>`)
 	f.Add(`<f><r>&#x41;&#66;</r> tail <r><a><b/></a></r></f>`)
+	f.Add(`<f><a:/><r>x</r></f>`)
 	f.Fuzz(func(t *testing.T, doc string) {
+		oracle, oerr := oracleParse(doc, Options{KeepWhitespace: true})
+		if oerr != nil {
+			return
+		}
+		readerNames(oracle)
+		if h, err := ParseString(doc, Options{KeepWhitespace: true}); err == nil && !sameHedge(h, oracle) {
+			t.Fatalf("Parse = %s, oracle %s", h, oracle)
+		}
 		recs, serr := splitAll(t, doc, RecordOptions{KeepWhitespace: true})
-		oracle, perr := ParseString(doc, Options{KeepWhitespace: true})
-		if serr != nil || perr != nil {
+		if serr != nil {
 			return
 		}
 		for _, rec := range recs {
@@ -145,9 +270,100 @@ func FuzzSplitVsParse(f *testing.F) {
 			if want == nil {
 				t.Fatalf("record %d path %s not in oracle tree", rec.Index, rec.Path)
 			}
-			if !rec.Hedge.Equal(hedge.Hedge{want}) {
+			if !sameHedge(rec.Hedge, hedge.Hedge{want}) {
 				t.Fatalf("record %d at %s differs from oracle subtree", rec.Index, rec.Path)
 			}
 		}
 	})
+}
+
+// readerNames rewrites the element names of an oracle tree the way the
+// readers name them where that differs on a document both accept: a name
+// ending in its only colon, after its first byte, is the empty local name
+// to the readers and the whole name to encoding/xml (pinned in
+// TestParseDivergences). A lone ":" is ":" to both.
+func readerNames(h hedge.Hedge) {
+	for _, n := range h {
+		if n.Kind == hedge.Elem && len(n.Name) > 1 && strings.IndexByte(n.Name, ':') == len(n.Name)-1 {
+			n.Name = ""
+		}
+		readerNames(n.Children)
+	}
+}
+
+// TestDirectiveComments: a comment inside a directive, such as a DOCTYPE's
+// internal subset, is skipped as encoding/xml skips it, so its quotes and
+// '>' neither end the directive nor swallow the document.
+func TestDirectiveComments(t *testing.T) {
+	for _, doc := range []string{
+		`<!DOCTYPE f [ <!-- it's a note --> <!ELEMENT f ANY> ]><f><r>x</r></f>`,
+		`<!DOCTYPE f <!-- a > b --> ><f><r/></f>`,
+		`<!DOCTYPE f [ <!--]>--> ]><f><r/><!-- x --></f>`,
+	} {
+		oracleCompare(t, doc)
+	}
+}
+
+// TestParseDivergences pins each place where Parse, which reads XML with
+// the stream tokenizer, differs from the encoding/xml oracle: every entry
+// asserts the oracle's verdict, to show the divergence is real, and the
+// result Parse gives, which streams share. want is Parse's tree; a nil
+// want means Parse rejects the document with an error containing err.
+func TestParseDivergences(t *testing.T) {
+	elem, text := hedge.NewElem, func(s string) *hedge.Node {
+		n := hedge.NewVar(hedge.TextVar)
+		n.Text = s
+		return n
+	}
+	cases := []struct {
+		name, doc string
+		oracleOK  bool // the oracle accepts the document
+		want      *hedge.Node
+		err       string
+	}{
+		// The XML declaration is skipped like any PI: its encoding and
+		// version are not checked, and the bytes are read as they come.
+		{"encoding-declaration", `<?xml version="1.0" encoding="ISO-8859-1"?><a>x</a>`, false, elem("a", text("x")), ""},
+		{"version-declaration", `<?xml version="1.1"?><a>x</a>`, false, elem("a", text("x")), ""},
+		// Characters are not re-validated against the XML charset, in
+		// text, in character references, or as UTF-8.
+		{"control-char", "<a>\x01</a>", false, elem("a", text("\x01")), ""},
+		{"control-char-ref", "<a>&#1;</a>", false, elem("a", text("\x01")), ""},
+		{"invalid-utf8", "<a>\xff</a>", false, elem("a", text("\xff")), ""},
+		{"cdata-end-in-text", "<a>]]></a>", false, elem("a", text("]]>")), ""},
+		// Attribute values are skipped to their closing quote unchecked.
+		{"attribute-entity", `<a x="&bogus;"/>`, false, elem("a"), ""},
+		{"attribute-lt", `<a x="<"/>`, false, elem("a"), ""},
+		// End tags match the start tag's raw prefixed name, and errors
+		// name them so.
+		{"end-tag-raw-name", `<p:a xmlns:p="u"></q:a>`, false, nil, "element <p:a> closed by </q:a>"},
+		// Names: bytes from 0x80 up are name bytes without a Unicode
+		// check, the prefix is stripped at the first colon, and a name
+		// ending in its only colon has an empty local name.
+		{"non-ascii-name-byte", "<a\u00a0/>", false, elem("a\u00a0"), ""},
+		{"two-colons", `<a:b:c/>`, false, elem("b:c"), ""},
+		{"trailing-colon", `<f><a:/></f>`, true, elem("f", elem("")), ""},
+		// A processing instruction needs no target name.
+		{"pi-without-target", `<a><? x?></a>`, false, elem("a"), ""},
+		// White space is XML's four bytes: text of other Unicode spaces is
+		// kept, where the oracle's strings.TrimSpace drops it.
+		{"unicode-space-text", "<a>\u00a0</a>", true, elem("a", text("\u00a0")), ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if _, oerr := oracleParse(c.doc, Options{}); (oerr == nil) != c.oracleOK {
+				t.Fatalf("oracle err = %v, want accepted = %v", oerr, c.oracleOK)
+			}
+			h, err := ParseString(c.doc, Options{})
+			if c.want == nil {
+				if err == nil || !strings.Contains(err.Error(), c.err) {
+					t.Fatalf("Parse = %s, %v; want an error containing %q", h, err, c.err)
+				}
+				return
+			}
+			if err != nil || !sameHedge(h, hedge.Hedge{c.want}) {
+				t.Fatalf("Parse = %s, %v; want %s", h, err, hedge.Hedge{c.want})
+			}
+		})
+	}
 }

@@ -26,60 +26,28 @@ type Options struct {
 	KeepWhitespace bool
 }
 
-// Parse reads an XML document into a hedge. The result has one top-level
-// node (the document element); parse errors from the underlying decoder are
-// returned as-is.
+// Parse reads an XML document into a hedge. It is the record splitter
+// reading each top-level element as one record, so a document parses
+// exactly as a stream of it does (tok.go notes where that differs from
+// encoding/xml). The result has one node per top-level element, normally
+// just the document element; syntax errors are *xml.SyntaxError values,
+// wrapped.
 func Parse(r io.Reader, opts Options) (hedge.Hedge, error) {
-	dec := xml.NewDecoder(r)
-	var stack []*hedge.Node
+	rr := NewRecordReader(r, RecordOptions{KeepWhitespace: opts.KeepWhitespace})
+	rr.rootDepth = 0
 	var top hedge.Hedge
-	appendNode := func(n *hedge.Node) {
-		if len(stack) == 0 {
-			top = append(top, n)
-			return
-		}
-		parent := stack[len(stack)-1]
-		parent.Children = append(parent.Children, n)
-	}
 	for {
-		tok, err := dec.Token()
+		rec, err := rr.Read(nil)
 		if err == io.EOF {
 			break
 		}
+		if rpe, ok := err.(*RecordParseError); ok {
+			err = rpe.Err // the record is the document: no index to report
+		}
 		if err != nil {
-			return nil, fmt.Errorf("xmlhedge: %w", err)
+			return nil, err
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			n := hedge.NewElem(t.Name.Local)
-			appendNode(n)
-			stack = append(stack, n)
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmlhedge: unbalanced end element %s", t.Name.Local)
-			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			text := string(t)
-			if !opts.KeepWhitespace && strings.TrimSpace(text) == "" {
-				continue
-			}
-			if len(stack) == 0 {
-				if strings.TrimSpace(text) == "" {
-					continue // prolog/epilog whitespace
-				}
-				return nil, fmt.Errorf("xmlhedge: character data outside the document element")
-			}
-			n := hedge.NewVar(hedge.TextVar)
-			n.Text = text
-			appendNode(n)
-		default:
-			// Comments, directives, and processing instructions are
-			// skipped.
-		}
-	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("xmlhedge: unexpected end of input inside <%s>", stack[len(stack)-1].Name)
+		top = append(top, rec.Hedge...)
 	}
 	if len(top) == 0 {
 		return nil, fmt.Errorf("xmlhedge: no document element")
