@@ -37,7 +37,7 @@ func TestLocalName(t *testing.T) {
 		"ns:price":  "price",
 		"a:b:price": "b:price", // prefix stripped at the first colon only
 		":price":    ":price",  // a leading colon is no prefix separator
-		"a:":        "",
+		"a:":        "a:",      // nor is a trailing one, as in encoding/xml
 		"p":         "p",
 	} {
 		if got := string(localName([]byte(raw))); got != want {
@@ -668,6 +668,10 @@ func TestPrefilterDifferentialCorpus(t *testing.T) {
 		{"cr-pi", "<f><e><?pi a\rb?><x/></e><e><a></b></e></f>", RecordOptions{Split: "e"}},
 		{"cr-text", "<f><e>a\rb\r\nc\r</e><e><a></b></e></f>", RecordOptions{Split: "e"}},
 		{"cr-cdata", "<f><e><![CDATA[a\rb\r\nc\r]]></e><e><a></b></e></f>", RecordOptions{Split: "e"}},
+		// A CDATA section longer than the skim's search chunk, read after a
+		// pin has grown the buffer and the input has ended.
+		{"long-cdata", "<f><e><![CDATA[" + strings.Repeat("a", 15000) + "]]></e></f>", RecordOptions{}},
+		{"long-cdata-kept", "<f><e><price/><![CDATA[" + strings.Repeat("a", 15000) + "]]></e></f>", RecordOptions{}},
 	}
 	for _, c := range corpus {
 		c := c
@@ -959,6 +963,8 @@ func TestReaderChunking(t *testing.T) {
 		{"<f><e> <a/> </e><e><price/> x </e></f>", RecordOptions{KeepWhitespace: true, MaxNodes: 4}},
 		{"<f><e><a><b><c/></b></a></e><e><price/></e></f>", RecordOptions{MaxDepth: 3, MaxBytes: 40}},
 		{"<f><e>" + strings.Repeat("<row>some text\r\n</row>", 300) + "</e><e><price/></e></f>", RecordOptions{}},
+		{"<f><e><![CDATA[" + strings.Repeat("a", 15000) + "]]></e><e><price/></e></f>", RecordOptions{}},
+		{"<f><e><price/><![CDATA[" + strings.Repeat("a", 15000) + "]]></e></f>", RecordOptions{}},
 	}
 	for _, c := range docs {
 		chunkDiff(t, c.input, c.opts, []string{"price"})

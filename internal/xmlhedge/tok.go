@@ -16,9 +16,8 @@ package xmlhedge
 // malformations, which split.go's recovery classifies as resynchronizable.
 // Known divergences, pinned in TestParseDivergences: characters and names
 // are not validated against the XML charset, attribute values and PI
-// targets are not checked, the XML declaration is ignored, end tags match
-// raw prefixed names, and a name ending in its only colon has an empty
-// local name.
+// targets are not checked, the XML declaration is ignored, and end tags
+// match raw prefixed names.
 
 import (
 	"bytes"
@@ -435,12 +434,12 @@ func (t *tokenizer) bang() (isCData bool, err error) {
 // scratch, normalizing line endings; no entity expansion happens inside.
 func (t *tokenizer) cdata() error {
 	for {
-		w := t.src.window()
-		w = w[:min(len(w), scanChunk)]
+		full := t.src.window()
+		w := full[:min(len(full), scanChunk)]
 		end := bytes.Index(w, cdataEnd)
 		n := end
 		if end < 0 {
-			// Hold back a "]]" the window's end may cut off.
+			// Hold back a "]]" the chunk's end may cut off.
 			n = max(len(w)-len(cdataEnd)+1, 0)
 		}
 		cr := bytes.IndexByte(w[:n], '\r')
@@ -455,6 +454,7 @@ func (t *tokenizer) cdata() error {
 		case end >= 0:
 			t.src.consume(len(cdataEnd))
 			return nil
+		case len(w) < len(full): // more is buffered past the chunk
 		default:
 			if err := t.src.fill(); err != nil {
 				return t.eof(err)
@@ -468,8 +468,7 @@ func (t *tokenizer) cdata() error {
 // subset ("[ <!ELEMENT ...> <!-- ... --> ]") must not end the skip early.
 func (t *tokenizer) skipDirective() error {
 	var nest [16]byte // stack of '<' / '[' openers, depth-capped
-	sp := 0
-	var q byte
+	sp, q, eof := 0, byte(0), false
 	for {
 		w, i := t.src.window(), 0
 	scan:
@@ -481,9 +480,9 @@ func (t *tokenizer) skipDirective() error {
 				}
 			case b == '\'' || b == '"':
 				q = b
-			case b == '<' && len(w)-i < 4:
+			case b == '<' && len(w)-i < 4 && !eof:
 				break scan // too little buffered to tell a comment
-			case b == '<' && string(w[i+1:i+4]) == "!--":
+			case b == '<' && string(w[i+1:min(i+4, len(w))]) == "!--":
 				t.src.consume(i + 4)
 				if err := t.skipPast(commentEnd); err != nil {
 					return err
@@ -509,7 +508,9 @@ func (t *tokenizer) skipDirective() error {
 			}
 		}
 		t.src.consume(i)
-		if err := t.src.fill(); err != nil {
+		if err := t.src.fill(); err == io.EOF && !eof {
+			eof = true // no comment fits in what is left: scan it plainly
+		} else if err != nil {
 			return t.eof(err)
 		}
 	}
@@ -595,9 +596,9 @@ func (t *tokenizer) open(raw []byte) {
 }
 
 // localName is an element's name as records hold it: the raw tag name with
-// any namespace prefix stripped at the first colon after its first byte.
+// any prefix stripped at the first colon that is not an end byte.
 func localName(raw []byte) []byte {
-	for i := 1; i < len(raw); i++ {
+	for i := 1; i < len(raw)-1; i++ {
 		if raw[i] == ':' {
 			return raw[i+1:]
 		}
