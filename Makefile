@@ -11,9 +11,10 @@ test:
 	$(GO) test ./...
 
 # race runs the whole suite under the race detector, once: the
-# interner/generation/cache synchronization, the lock-free mirror
-# automaton, the stream pipeline, the fault-containment chaos and leak
-# tests, the differential harness and the serving daemon all run here.
+# interner/generation/cache synchronization, the lock-free lazy DFAs (the
+# mirror automaton and lazy determinization), the stream pipeline, the
+# fault-containment chaos and leak tests, the differential harness and the
+# serving daemon all run here.
 race:
 	$(GO) test -race -count=1 ./...
 
@@ -48,7 +49,11 @@ soak:
 # splitter and Parse against encoding/xml, the prefiltered reader against
 # the unfiltered one, the reader under resource limits, skip-policy
 # recovery, and reads one byte at a time against whole reads. FuzzFleet evaluates random query sets as fleets under random
-# allow-masks against the naive oracle. FuzzServeFeed posts each input to
+# allow-masks against the naive oracle. FuzzLazyDFA steps random words
+# through sfa's lazy subset construction and the eager Determinize, under
+# budgets that flush; FuzzLazyVsEagerDeterminize holds a random NHA's lazy
+# determinization (ha.LazyDet) to its eager one and to the NHA itself.
+# FuzzServeFeed posts each input to
 # a served feed over HTTP and requires the NDJSON of the library's shared
 # pass; it starts a server per input, so an input that reaches new code
 # gets ten minimizing runs rather than a minute of them. A failing input
@@ -61,6 +66,10 @@ fuzz:
 	done
 	@echo "fuzz: FuzzFleet"
 	$(GO) test -run NONE -fuzz '^FuzzFleet$$' -fuzztime 60s ./internal/core/
+	@echo "fuzz: FuzzLazyDFA"
+	$(GO) test -run NONE -fuzz '^FuzzLazyDFA$$' -fuzztime 60s ./internal/sfa/
+	@echo "fuzz: FuzzLazyVsEagerDeterminize"
+	$(GO) test -run NONE -fuzz '^FuzzLazyVsEagerDeterminize$$' -fuzztime 60s ./internal/ha/
 	@echo "fuzz: FuzzServeFeed"
 	$(GO) test -run NONE -fuzz '^FuzzServeFeed$$' -fuzztime 60s -fuzzminimizetime 10x ./internal/serve/
 

@@ -41,6 +41,40 @@ import (
 	"xpe/internal/serve"
 )
 
+// lazyFlags are -lazy and -lazy-budget, read together by engineOption.
+type lazyFlags struct {
+	fs     *flag.FlagSet
+	lazy   *bool
+	budget *int
+}
+
+func defineLazyFlags(fs *flag.FlagSet) lazyFlags {
+	return lazyFlags{fs,
+		fs.Bool("lazy", false, "compile with lazy determinization (default transition-cache budget)"),
+		fs.Int("lazy-budget", 0, "lazy transition-cache budget replacing the default (0 = unlimited; needs -lazy)")}
+}
+
+// engineOption returns the engine option the flags select and a line for
+// the startup log: none without -lazy, WithLazyDeterminization's default
+// budget for -lazy alone, and WithLazyTransitionBudget only when
+// -lazy-budget is set, where 0 means unlimited. -lazy-budget without -lazy
+// is an error.
+func (l lazyFlags) engineOption() (xpe.EngineOption, string, error) {
+	budgetSet := false
+	l.fs.Visit(func(f *flag.Flag) { budgetSet = budgetSet || f.Name == "lazy-budget" })
+	switch {
+	case !*l.lazy && budgetSet:
+		return nil, "", errors.New("-lazy-budget requires -lazy")
+	case !*l.lazy:
+		return nil, "", nil
+	case !budgetSet:
+		return xpe.WithLazyDeterminization(), "lazy determinization, default transition budget", nil
+	case *l.budget == 0:
+		return xpe.WithLazyTransitionBudget(0), "lazy determinization, unlimited transition budget", nil
+	}
+	return xpe.WithLazyTransitionBudget(*l.budget), fmt.Sprintf("lazy determinization, transition budget %d", *l.budget), nil
+}
+
 func main() {
 	var (
 		addr         = flag.String("addr", "localhost:8080", "listen address")
@@ -54,8 +88,7 @@ func main() {
 		recBytes     = flag.Int64("max-record-bytes", 0, "default per-record input byte budget (0 = unlimited)")
 		recNodes     = flag.Int("max-record-nodes", 0, "default per-record node budget (0 = unlimited)")
 		recTimeout   = flag.Duration("record-timeout", 0, "default per-record evaluation budget across all queries (0 = unlimited)")
-		lazy         = flag.Bool("lazy", false, "compile with lazy determinization")
-		lazyBudget   = flag.Int("lazy-budget", 0, "lazy transition-cache budget (0 = unlimited; needs -lazy)")
+		lazy         = defineLazyFlags(flag.CommandLine)
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "grace for in-flight streams on SIGTERM")
 		slowRecord   = flag.Duration("slow-record", 0, "log records slower than this, with tenant/feed/request-id context (0 = off)")
 		labelSets    = flag.Int("max-label-sets", 0, "dimensional rollup cardinality cap before folding into 'other' (0 = default 128)")
@@ -67,14 +100,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "xpeserve: unexpected arguments %q\n", flag.Args())
 		os.Exit(2)
 	}
-	if *lazyBudget != 0 && !*lazy {
-		fmt.Fprintln(os.Stderr, "xpeserve: -lazy-budget requires -lazy")
+	lazyOpt, lazyDesc, err := lazy.engineOption()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "xpeserve: %v\n", err)
 		os.Exit(2)
 	}
-
 	var engOpts []xpe.EngineOption
-	if *lazy {
-		engOpts = append(engOpts, xpe.WithLazyTransitionBudget(*lazyBudget))
+	if lazyOpt != nil {
+		engOpts = append(engOpts, lazyOpt)
+		log.Printf("xpeserve: %s", lazyDesc)
 	}
 	srv, err := serve.NewServer(serve.Options{
 		Engine:              xpe.NewEngine(engOpts...),

@@ -153,6 +153,7 @@ func (in *Interner) Extends(base *Interner) bool {
 type TupleInterner struct {
 	tuples [][]int
 	ids    map[string]int
+	key    []byte // Intern's key buffer, reused: a hit allocates nothing
 }
 
 // NewTupleInterner returns an empty tuple interner.
@@ -160,34 +161,37 @@ func NewTupleInterner() *TupleInterner {
 	return &TupleInterner{ids: make(map[string]int)}
 }
 
-func tupleKey(t []int) string {
-	// Fixed-width little-endian encoding; tuples are short, so this is
-	// cheap and collision-free.
-	b := make([]byte, 0, len(t)*4)
+// appendTupleKey appends t's key to dst: its fixed-width little-endian
+// encoding, which is cheap for short tuples and collision-free. It is the
+// engine's one key for state sets and tuples.
+func appendTupleKey(dst []byte, t []int) []byte {
 	for _, v := range t {
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+		dst = append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 	}
-	return string(b)
+	return dst
 }
 
 // Intern returns the id for tuple t, assigning a fresh one if needed. The
 // tuple is copied; the caller may reuse t.
 func (ti *TupleInterner) Intern(t []int) int {
-	k := tupleKey(t)
-	if id, ok := ti.ids[k]; ok {
+	ti.key = appendTupleKey(ti.key[:0], t)
+	if id, ok := ti.ids[string(ti.key)]; ok {
 		return id
 	}
 	id := len(ti.tuples)
 	cp := make([]int, len(t))
 	copy(cp, t)
 	ti.tuples = append(ti.tuples, cp)
-	ti.ids[k] = id
+	ti.ids[string(ti.key)] = id
 	return id
 }
 
-// Lookup returns the id of t, or -1 if t was never interned.
+// Lookup returns the id of t, or -1 if t was never interned. It writes
+// nothing, so concurrent Lookups are safe; a tuple of up to 16 ints keys
+// from the stack.
 func (ti *TupleInterner) Lookup(t []int) int {
-	if id, ok := ti.ids[tupleKey(t)]; ok {
+	var buf [64]byte
+	if id, ok := ti.ids[string(appendTupleKey(buf[:0], t))]; ok {
 		return id
 	}
 	return -1

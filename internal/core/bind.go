@@ -51,7 +51,7 @@ func (f *Fleet) bindings(h hedge.Hedge) []BoundMatch {
 		// The match's spine, top level first: node and candidate set.
 		var nodes []*hedge.Node
 		var sets [][]int
-		s.spine(m, func(n *hedge.Node, cands uint64, _ *mirrorState) {
+		s.spine(m, func(n *hedge.Node, cands uint64, _ *sfa.LazyState) {
 			nodes = append(nodes, n)
 			sets = append(sets, bitsToList(cands))
 		})

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"xpe/internal/ha"
 	"xpe/internal/hedge"
@@ -42,7 +41,14 @@ type CompiledPHR struct {
 	comps []*component // deduplicated side automata
 	bases []baseTest   // per base: label and required membership bits
 
-	mirror *mirrorDFA
+	// mirror is N: the reversed PHR automaton determinized on demand over
+	// candidate-set letters (bit i = base i). Theorem 4's N is this
+	// automaton completed over the finite alphabet (Q*/≡)×Σ×(Q*/≡);
+	// laziness keeps Algorithm 1 linear with a small constant in practice,
+	// and its lock-free warm steps let one compiled query serve concurrent
+	// evaluations. It has no transition budget: the finite candidate
+	// alphabet stops its misses once it is warm.
+	mirror *sfa.LazyDFA
 
 	// metrics, when non-nil, receives one flush of evaluation counters per
 	// evaluation. Work counts accumulate in the per-call scratch as plain
@@ -318,7 +324,7 @@ func CompilePHROpt(phr *PHR, names *ha.Names, opts Options) (*CompiledPHR, error
 	}
 	nfa := phr.Expr.CompileNFA(namesForBases(len(phr.Bases)))
 	nfa.GrowAlphabet(len(phr.Bases))
-	c.mirror = newMirrorDFA(nfa.Reverse())
+	c.mirror = sfa.NewLazyDFA(nfa.Reverse(), nil, bitsToList, nil)
 	return c, nil
 }
 
@@ -441,132 +447,4 @@ func (c *CompiledPHR) MatchesPointed(u hedge.Hedge) (bool, error) {
 	stripped.At(target).Children = nil
 	res := c.Locate(stripped)
 	return res.Located[stripped.At(target)], nil
-}
-
-// mirrorDFA lazily determinizes the reversed PHR automaton over concrete
-// candidate-set symbols. Theorem 4's N is this automaton completed over the
-// finite alphabet (Q*/≡)×Σ×(Q*/≡); laziness keeps Algorithm 1 linear with
-// a small constant in practice. Reads take no lock, so one compiled query
-// can serve concurrent evaluations (concurrent Selects, the parallel
-// stream): a state's accept bit is fixed when the state is created, and
-// its out-edges are an immutable sorted list behind an atomic pointer,
-// replaced whole when a miss adds an edge. mu serializes the misses only,
-// and the finite candidate alphabet stops them once the automaton is warm.
-// A miss copies the state's edge list, so it costs the state's out-degree:
-// the number of distinct candidate sets seen there so far.
-type mirrorDFA struct {
-	rev   *sfa.NFA
-	start *mirrorState
-
-	mu  sync.Mutex
-	ids map[string]*mirrorState // NFA state-set key → state; guarded by mu
-}
-
-// mirrorState is one state of the determinized mirror automaton.
-type mirrorState struct {
-	id     int // creation order; stable for the life of the compilation
-	accept bool
-	dead   bool  // the empty set: no successor ever accepts
-	set    []int // NFA state set; read under mirrorDFA.mu only
-	edges  atomic.Pointer[[]mirrorEdge]
-}
-
-// mirrorEdge is one out-edge: the successor on a candidate-bit symbol.
-type mirrorEdge struct {
-	cands uint64
-	to    *mirrorState
-}
-
-func newMirrorDFA(rev *sfa.NFA) *mirrorDFA {
-	m := &mirrorDFA{rev: rev, ids: map[string]*mirrorState{}}
-	m.start = m.intern(rev.EpsClosure(rev.Start))
-	return m
-}
-
-func setKey(set []int) string {
-	b := make([]byte, 0, len(set)*4)
-	for _, s := range set {
-		b = append(b, byte(s), byte(s>>8), byte(s>>16), byte(s>>24))
-	}
-	return string(b)
-}
-
-// intern returns the state of an NFA state set, creating it if new. The
-// caller holds mu, or is the constructor.
-func (m *mirrorDFA) intern(set []int) *mirrorState {
-	k := setKey(set)
-	if st, ok := m.ids[k]; ok {
-		return st
-	}
-	st := &mirrorState{id: len(m.ids), dead: len(set) == 0, set: set}
-	for _, s := range set {
-		if m.rev.Accept[s] {
-			st.accept = true
-			break
-		}
-	}
-	m.ids[k] = st
-	return st
-}
-
-// findEdge returns the index of cands in the sorted edge list, or where it
-// would be inserted, and whether it is present.
-func findEdge(es []mirrorEdge, cands uint64) (int, bool) {
-	lo, hi := 0, len(es)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if es[mid].cands < cands {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(es) && es[lo].cands == cands
-}
-
-// step advances on the candidate-bit symbol: the union of moves on every
-// base index present in cands.
-func (m *mirrorDFA) step(s *mirrorState, cands uint64) *mirrorState {
-	if p := s.edges.Load(); p != nil {
-		if i, ok := findEdge(*p, cands); ok {
-			return (*p)[i].to
-		}
-	}
-	return m.miss(s, cands)
-}
-
-// miss determinizes one new edge and publishes s's extended edge list.
-func (m *mirrorDFA) miss(s *mirrorState, cands uint64) *mirrorState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var old []mirrorEdge
-	if p := s.edges.Load(); p != nil {
-		old = *p
-	}
-	i, ok := findEdge(old, cands)
-	if ok {
-		return old[i].to // published by a concurrent miss
-	}
-	next := map[int]bool{}
-	for _, q := range s.set {
-		for b := 0; cands>>uint(b) != 0; b++ {
-			if cands&(1<<uint(b)) == 0 {
-				continue
-			}
-			for _, t := range m.rev.Trans[q][b] {
-				next[t] = true
-			}
-		}
-	}
-	lst := make([]int, 0, len(next))
-	for q := range next {
-		lst = append(lst, q)
-	}
-	to := m.intern(m.rev.EpsClosure(lst))
-	es := make([]mirrorEdge, len(old)+1)
-	copy(es, old[:i])
-	es[i] = mirrorEdge{cands: cands, to: to}
-	copy(es[i+1:], old[i:])
-	s.edges.Store(&es)
-	return to
 }

@@ -80,8 +80,8 @@ func (f *Fleet) ExplainEach(h hedge.Hedge, allow uint64, fn func(m int, w Witnes
 		}
 		w := Witness{Path: s.path.Clone(), Subhedge: mb.mark != 0}
 		var sets [][]int
-		s.spine(m, func(n *hedge.Node, cands uint64, st *mirrorState) {
-			lv := WitnessLevel{Name: n.Name, State: st.id, Candidates: bitsToList(cands), Fired: -1}
+		s.spine(m, func(n *hedge.Node, cands uint64, st *sfa.LazyState) {
+			lv := WitnessLevel{Name: n.Name, State: int(st.ID), Candidates: bitsToList(cands), Fired: -1}
 			w.Levels = append(w.Levels, lv)
 			sets = append(sets, lv.Candidates)
 		})

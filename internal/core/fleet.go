@@ -8,6 +8,7 @@ import (
 	"xpe/internal/alphabet"
 	"xpe/internal/ha"
 	"xpe/internal/hedge"
+	"xpe/internal/sfa"
 )
 
 // MaxFleet bounds a fleet's members, its distinct side expressions and its
@@ -248,11 +249,11 @@ func (f *Fleet) run(h hedge.Hedge, allow uint64, s *scratch) bool {
 
 	k := len(f.members)
 	if need := (s.maxDepth + 1) * k; cap(s.mirror) < need {
-		s.mirror = make([]*mirrorState, need)
+		s.mirror = make([]*sfa.LazyState, need)
 	}
 	s.mirror = s.mirror[:cap(s.mirror)]
 	for i := range f.members {
-		s.mirror[i] = f.members[i].phr.mirror.start
+		s.mirror[i] = f.members[i].phr.mirror.Start
 	}
 	clear(s.marks[:])
 	done := s.walk(h, recs, 0, allow)
@@ -261,11 +262,27 @@ func (f *Fleet) run(h hedge.Hedge, allow uint64, s *scratch) bool {
 	return done
 }
 
-// flush adds one evaluation's counters to the fleet's metrics sink: per
-// allowed member one document, its nodes and its marks, as if each had run
-// alone, and the transitions once, as the fleet took them.
+// flush reports the evaluation's lazy lookups to each stepped lazy
+// automaton and adds its counters to the fleet's metrics sink: per allowed
+// member one document, its nodes and its marks, as if each had run alone,
+// and the transitions once, as the fleet took them.
 func (f *Fleet) flush(s *scratch, allow uint64) {
 	sink := f.members[0].phr.metrics
+	for a, i := range s.act {
+		var lz *ha.LazyDet
+		if a < s.nComps {
+			lz = f.comps[i].lazy
+		} else {
+			lz = f.subs[i].lazy
+		}
+		if lz == nil {
+			continue
+		}
+		lz.Lookups.Add(s.lookups[a])
+		if sink != nil {
+			flushLazyDelta(sink, lz)
+		}
+	}
 	if sink == nil {
 		return
 	}
@@ -278,15 +295,6 @@ func (f *Fleet) flush(s *scratch, allow uint64) {
 	sink.Nodes.Add(n * int64(len(s.ids)))
 	sink.Marks.Add(marks)
 	sink.Transitions.Add(s.steps)
-	for a, i := range s.act {
-		if a < s.nComps {
-			if lz := f.comps[i].lazy; lz != nil {
-				flushLazyDelta(sink, lz)
-			}
-		} else if lz := f.subs[i].lazy; lz != nil {
-			flushLazyDelta(sink, lz)
-		}
-	}
 }
 
 // resolveLabels appends the label id of every node of h, in pre-order, to
@@ -337,13 +345,14 @@ type scratch struct {
 	nComps   int     // len of the comps prefix of act
 	maxDepth int
 	steps    int64
+	lookups  []int64 // per stepped automaton: its steps, reported in flush when it is lazy
 
 	recsBuf   []annot
 	recs      []annot // the unused tail of recsBuf
 	statesBuf []int32 // per sibling list: one column per stepped automaton
 	used      int     // statesBuf entries handed out
 
-	mirror []*mirrorState // row d: each member's state at the level-d ancestor (row 0: start)
+	mirror []*sfa.LazyState // row d: each member's state at the level-d ancestor (row 0: start)
 	path   hedge.Path
 	marks  [MaxFleet]int64 // located nodes per member
 
@@ -373,6 +382,8 @@ func (s *scratch) reset(nodes int) {
 	s.recs = s.recsBuf[:nodes]
 	s.statesBuf = s.statesBuf[:nodes*len(s.act)]
 	s.used, s.next, s.maxDepth, s.steps = 0, 0, 0, 0
+	s.lookups = slices.Grow(s.lookups[:0], len(s.act))[:len(s.act)]
+	clear(s.lookups)
 }
 
 // annotate is the bottom-up pass over one sibling list at depth: label
@@ -410,6 +421,7 @@ func (f *Fleet) annotate(h hedge.Hedge, s *scratch, depth int) []annot {
 			// Each horizontal DFA steps once per child, each final DFA once
 			// per node in both directions.
 			s.steps += 2 * int64(n)
+			s.lookups[c] += 2 * int64(n)
 		} else {
 			f.subs[i].states(h, recs, col, s, c, uint64(1)<<uint(i))
 		}
@@ -427,8 +439,9 @@ func (s *scratch) kidsOf(a *annot, c int) []int32 {
 // states fills col with the component's state at every node of the list.
 func (comp *component) states(h hedge.Hedge, recs []annot, col []int32, s *scratch, c int) {
 	if lz := comp.lazy; lz != nil {
-		// The lazy machines are total (HorizStep never goes dead), so only
-		// the label can fall to the sink early.
+		// A lazy horizontal run is total (its empty-set state steps to
+		// itself, with the sink as payload), so only the label can fall to
+		// the sink early.
 		for i, node := range h {
 			a := &recs[i]
 			col[i] = int32(lz.Sink())
@@ -438,17 +451,17 @@ func (comp *component) states(h hedge.Hedge, recs []annot, col []int32, s *scrat
 					col[i] = int32(lz.IotaState(int(a.sym)))
 				}
 			case hedge.Elem:
-				sym := int(a.sym)
-				st := lz.HorizStart(sym)
-				if st < 0 {
+				st := lz.HorizStart(int(a.sym))
+				if st == nil {
 					break
 				}
 				kids := s.kidsOf(a, c)
 				for _, q := range kids {
-					st = lz.HorizStep(sym, st, int(q))
+					st = st.Step(uint64(q))
 				}
 				s.steps += int64(len(kids))
-				col[i] = int32(lz.HorizOut(sym, st))
+				s.lookups[c] += int64(len(kids))
+				col[i] = st.Payload
 			}
 		}
 		return
@@ -476,17 +489,17 @@ func (comp *component) membership(recs []annot, col []int32, bit uint64) {
 	if lz := comp.lazy; lz != nil {
 		st := lz.FwdStart()
 		for i := range recs {
-			if lz.FwdAccepting(st) {
+			if st.Accept {
 				recs[i].left |= bit
 			}
-			st = lz.FwdStep(st, int(col[i]))
+			st = st.Step(uint64(col[i]))
 		}
 		rt := lz.BwdStart()
 		for i := len(recs) - 1; i >= 0; i-- {
-			if lz.BwdAccepting(rt) {
+			if rt.Accept {
 				recs[i].right |= bit
 			}
-			rt = lz.BwdStep(rt, int(col[i]))
+			rt = rt.Step(uint64(col[i]))
 		}
 		return
 	}
@@ -526,18 +539,19 @@ func (sc *subChecker) states(h hedge.Hedge, recs []annot, col []int32, s *scratc
 			s.steps += 2 * int64(len(kids))
 			fs := lz.FwdStart()
 			for _, q := range kids {
-				fs = lz.FwdStep(fs, int(q))
+				fs = fs.Step(uint64(q))
 			}
-			if lz.FwdAccepting(fs) {
+			s.lookups[c] += int64(len(kids))
+			if fs.Accept {
 				a.marks |= bit
 			}
 			col[i] = int32(lz.Sink())
-			sym := int(a.sym)
-			if st := lz.HorizStart(sym); st >= 0 {
+			if st := lz.HorizStart(int(a.sym)); st != nil {
 				for _, q := range kids {
-					st = lz.HorizStep(sym, st, int(q))
+					st = st.Step(uint64(q))
 				}
-				col[i] = int32(lz.HorizOut(sym, st))
+				s.lookups[c] += int64(len(kids))
+				col[i] = st.Payload
 			}
 		}
 		return
@@ -597,13 +611,13 @@ func (s *scratch) walk(h hedge.Hedge, recs []annot, d int, live uint64) bool {
 			if cands == 0 {
 				continue
 			}
-			st := mb.phr.mirror.step(parent[m], cands)
-			if st.dead {
+			st := parent[m].Step(cands)
+			if st.Dead {
 				continue
 			}
 			row[m] = st
 			next |= 1 << uint(m)
-			if st.accept && a.marks&mb.mark == mb.mark {
+			if st.Accept && a.marks&mb.mark == mb.mark {
 				s.marks[m]++
 				if !s.emit(m, n) {
 					return false
@@ -632,7 +646,7 @@ func (s *scratch) emit(m int, n *hedge.Node) bool {
 // spine calls fn for every level of the current match of member m, top
 // first: the level's node, the candidate set the member's mirror
 // automaton stepped with there, and the state it entered.
-func (s *scratch) spine(m int, fn func(n *hedge.Node, cands uint64, st *mirrorState)) {
+func (s *scratch) spine(m int, fn func(n *hedge.Node, cands uint64, st *sfa.LazyState)) {
 	k := len(s.f.members)
 	bases := s.f.members[m].bases
 	h, recs := s.root, s.rootRecs

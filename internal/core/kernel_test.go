@@ -58,10 +58,18 @@ var kernelQueries = []string{
 	"select(figure*; [* ; section ; *] (section|doc)*)",
 }
 
+// lazyKernelOpts are the lazy compilations the kernel tests run beside
+// the eager one: the default transition budget, and budget 1, which
+// flushes on nearly every miss.
+var lazyKernelOpts = map[string]Options{
+	"lazy":          {LazyDeterminize: true},
+	"lazy budget=1": {LazyDeterminize: true, LazyTransitionBudget: 1},
+}
+
 // TestEvalZeroAlloc pins steady-state evaluation at exactly zero
-// allocations: once a warm-up run has filled the scratch and the mirror
-// edges, SelectEach allocates nothing, and neither does one evaluation of
-// the 64-query dense fleet.
+// allocations: once a warm-up run has filled the scratch, the mirror edges
+// and a lazy compilation's edges, SelectEach allocates nothing, and neither
+// does one evaluation of the 64-query dense fleet, eager or lazy.
 func TestEvalZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector drops sync.Pool items at random, perturbing AllocsPerRun")
@@ -78,20 +86,28 @@ func TestEvalZeroAlloc(t *testing.T) {
 	for _, src := range kernelQueries {
 		cq := compileDocQuery(t, src)
 		check(fmt.Sprintf("SelectEach %q", src), func() { cq.SelectEach(doc, fn) })
-	}
-	fleets := AppendFleets(nil, compileDocFleet(t, gen.DenseQueries()))
-	if len(fleets) != 1 || fleets[0].Len() != 64 {
-		t.Fatalf("the dense queries make %d fleets, want one of 64", len(fleets))
+		lazy := compileDocQueryOpt(t, src, lazyKernelOpts["lazy"])
+		check(fmt.Sprintf("lazy SelectEach %q", src), func() { lazy.SelectEach(doc, fn) })
 	}
 	fleetFn := func(int, hedge.Path, *hedge.Node) bool { return true }
-	check("64-query Fleet.Each", func() { fleets[0].Each(doc, ^uint64(0), fleetFn) })
+	for name, opts := range map[string]Options{"": {}, "lazy ": lazyKernelOpts["lazy"]} {
+		fleets := AppendFleets(nil, compileDocFleetOpt(t, gen.DenseQueries(), opts))
+		if len(fleets) != 1 || fleets[0].Len() != 64 {
+			t.Fatalf("the dense queries make %d fleets, want one of 64", len(fleets))
+		}
+		check(name+"64-query Fleet.Each", func() { fleets[0].Each(doc, ^uint64(0), fleetFn) })
+	}
 }
 
 // TestConcurrentColdMirror: goroutines evaluating one freshly compiled
 // query race to fill its mirror automaton, whose reads take no lock; every
-// evaluation must still agree with a sequential reference. The last case
-// is one cold fleet of all the kernel queries, shared by every goroutine
-// as a parallel stream's workers share it. Meant for -race -count=10.
+// evaluation must still agree with a sequential reference. One case per
+// kernel query is one cold fleet of all the kernel queries, shared by
+// every goroutine as a parallel stream's workers share it. The lazy cases
+// race to fill the lazily determinized side and e₁ automata too, at the
+// default transition budget and at budget 1, where misses flush the edges
+// other goroutines are reading; their reference is the eager compilation.
+// Meant for -race -count=10.
 func TestConcurrentColdMirror(t *testing.T) {
 	var docs []hedge.Hedge
 	for seed := int64(1); seed <= 4; seed++ {
@@ -124,6 +140,12 @@ func TestConcurrentColdMirror(t *testing.T) {
 		races = append(races, race{src, selectOf(compileDocQuery(t, src)), selectOf(compileDocQuery(t, src))})
 	}
 	races = append(races, race{"fleet", fleetOf(compileDocFleet(t, kernelQueries)), fleetOf(compileDocFleet(t, kernelQueries))})
+	for name, opts := range lazyKernelOpts {
+		for _, src := range kernelQueries {
+			races = append(races, race{name + " " + src, selectOf(compileDocQuery(t, src)), selectOf(compileDocQueryOpt(t, src, opts))})
+		}
+		races = append(races, race{name + " fleet", fleetOf(compileDocFleet(t, kernelQueries)), fleetOf(compileDocFleetOpt(t, kernelQueries, opts))})
+	}
 	for _, r := range races {
 		want := make([]string, len(docs))
 		for i, d := range docs {

@@ -45,7 +45,7 @@ type MatchAutomaton struct {
 
 type elemKey struct {
 	pq  int
-	s   *mirrorState
+	s   *sfa.LazyState
 	sym int
 }
 
@@ -104,14 +104,14 @@ func BuildMatchAutomaton(schema *ha.DHA, cq *CompiledQuery) (*MatchAutomaton, er
 		for _, s := range nStates {
 			k := elemKey{la.pq, s, la.sym}
 			id := nha.AddState()
-			m.States.Intern([]int{1, k.pq, k.s.id, k.sym})
+			m.States.Intern([]int{1, k.pq, int(k.s.ID), k.sym})
 			elemState[k] = id
 			elemKeys = append(elemKeys, k)
 		}
 	}
 	m.Marked = make([]bool, nha.NumStates)
 	for k, id := range elemState {
-		m.Marked[id] = k.s.accept && m.e1Bit(k.pq)
+		m.Marked[id] = k.s.Accept && m.e1Bit(k.pq)
 	}
 
 	// Rule languages, cached per (symbol, parent N-state): the transition
@@ -124,7 +124,7 @@ func BuildMatchAutomaton(schema *ha.DHA, cq *CompiledQuery) (*MatchAutomaton, er
 	}
 	type cacheKey struct {
 		sym int
-		s   *mirrorState
+		s   *sfa.LazyState
 	}
 	cache := map[cacheKey]*horizNFA{}
 	for _, k := range elemKeys {
@@ -140,7 +140,7 @@ func BuildMatchAutomaton(schema *ha.DHA, cq *CompiledQuery) (*MatchAutomaton, er
 
 	// Final set: the same construction over the schema-product final DFA
 	// with the parent N-state s₀.
-	fin := builder.build(p.Final, phr.mirror.start)
+	fin := builder.build(p.Final, phr.mirror.Start)
 	nha.Final = fin.langFor(func(f int) bool { return p.Final.Accepting(f) })
 	m.NHA = nha
 	_ = inhabited
@@ -240,7 +240,7 @@ func reachableOver(dfa *sfa.DFA, allowed []bool) []bool {
 // candidate set (over all labels and membership-bit combinations) and
 // returns the states ordered by id. This materializes Theorem 4's string
 // automaton N over its full finite alphabet.
-func closeMirror(phr *CompiledPHR) []*mirrorState {
+func closeMirror(phr *CompiledPHR) []*sfa.LazyState {
 	c := len(phr.comps)
 	// Distinct candidate sets.
 	candSet := map[uint64]bool{0: true}
@@ -251,19 +251,19 @@ func closeMirror(phr *CompiledPHR) []*mirrorState {
 			}
 		}
 	}
-	start := phr.mirror.start
-	seen := map[*mirrorState]bool{start: true}
-	out := []*mirrorState{start}
+	start := phr.mirror.Start
+	seen := map[*sfa.LazyState]bool{start: true}
+	out := []*sfa.LazyState{start}
 	for qi := 0; qi < len(out); qi++ {
 		for cands := range candSet {
-			t := phr.mirror.step(out[qi], cands)
+			t := out[qi].Step(cands)
 			if !seen[t] {
 				seen[t] = true
 				out = append(out, t)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -303,7 +303,7 @@ func (hn *horizNFA) langFor(acceptH func(h int) bool) *sfa.NFA {
 
 // build explores the product of the sequence DFA, forward finals, and
 // guessed backward finals over all match-automaton states.
-func (b *horizBuilder) build(seqDFA *sfa.DFA, parentS *mirrorState) *horizNFA {
+func (b *horizBuilder) build(seqDFA *sfa.DFA, parentS *sfa.LazyState) *horizNFA {
 	c := len(b.phr.comps)
 	// Backward-step preimages: invBwd[i][to][sym] = sources r with
 	// bwd.Step(r, sym) == to.
@@ -379,7 +379,7 @@ func (b *horizBuilder) build(seqDFA *sfa.DFA, parentS *mirrorState) *horizNFA {
 				leftBits |= 1 << uint(i)
 			}
 		}
-		b.eachChildSymbol(func(rState, pq int, childS *mirrorState, childSym int) {
+		b.eachChildSymbol(func(rState, pq int, childS *sfa.LazyState, childSym int) {
 			// Project component states from the product tuple.
 			ptup := b.m.tuples.Tuple(pq)
 			h2 := seqDFA.Step(h, pq)
@@ -397,7 +397,7 @@ func (b *horizBuilder) build(seqDFA *sfa.DFA, parentS *mirrorState) *horizNFA {
 						}
 					}
 					cands := b.phr.candidates(int32(childSym), leftBits, rightBits)
-					if b.phr.mirror.step(parentS, cands) != childS {
+					if parentS.Step(cands) != childS {
 						return
 					}
 				}
@@ -417,7 +417,7 @@ func (b *horizBuilder) build(seqDFA *sfa.DFA, parentS *mirrorState) *horizNFA {
 
 // eachChildSymbol enumerates every match-automaton state usable as a child:
 // leaf states (childSym = None) and element states.
-func (b *horizBuilder) eachChildSymbol(fn func(rState, pq int, childS *mirrorState, childSym int)) {
+func (b *horizBuilder) eachChildSymbol(fn func(rState, pq int, childS *sfa.LazyState, childSym int)) {
 	for pq, id := range b.leafState {
 		fn(id, pq, nil, alphabet.None)
 	}

@@ -39,6 +39,12 @@ func compileDocQueryOpt(t *testing.T, src string, opts Options) *CompiledQuery {
 // vocabulary, as the queries of one served feed are.
 func compileDocFleet(t testing.TB, srcs []string) []*CompiledQuery {
 	t.Helper()
+	return compileDocFleetOpt(t, srcs, Options{})
+}
+
+// compileDocFleetOpt is compileDocFleet with explicit compile options.
+func compileDocFleetOpt(t testing.TB, srcs []string, opts Options) []*CompiledQuery {
+	t.Helper()
 	names := ha.NewNames()
 	for _, s := range []string{"doc", "section", "figure", "table", "para"} {
 		names.Syms.Intern(s)
@@ -50,7 +56,7 @@ func compileDocFleet(t testing.TB, srcs []string) []*CompiledQuery {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cqs[i], err = CompileQuery(q, names); err != nil {
+		if cqs[i], err = CompileQueryOpt(q, names, opts); err != nil {
 			t.Fatal(err)
 		}
 	}

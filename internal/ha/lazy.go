@@ -1,8 +1,6 @@
 package ha
 
 import (
-	"sync"
-
 	"xpe/internal/alphabet"
 	"xpe/internal/hedge"
 	"xpe/internal/sfa"
@@ -20,9 +18,10 @@ import (
 // eager construction and membership agrees with Determinize on every hedge
 // (the FuzzLazyVsEagerDeterminize target pins this).
 //
-// All stepping methods share one mutex, so a LazyDet may back a compiled
-// query shared by concurrent evaluators (the same discipline as the
-// mirror-automaton memo in internal/core).
+// Every machine is an sfa.LazyDFA, the lazy subset construction the
+// mirror automaton in internal/core uses too: warm steps take no lock, and
+// misses take the LazyDet's one lock, so a LazyDet may back a compiled
+// query shared by concurrent evaluators.
 
 // DefaultLazyTransitionBudget bounds the cached transitions of a LazyDet
 // when LazyOptions.TransitionBudget is zero.
@@ -32,8 +31,8 @@ const DefaultLazyTransitionBudget = 1 << 16
 type LazyOptions struct {
 	// TransitionBudget caps the number of cached DFA transitions across the
 	// lazy horizontal and final structures. When the cache would exceed the
-	// budget it is flushed: every transition map is dropped, but states and
-	// their subsets are kept, so state ids held by an in-flight evaluation
+	// budget it is flushed: every machine's edges are dropped, but states
+	// and their subsets are kept, so states held by an in-flight evaluation
 	// stay valid and future steps recompute transitions on demand. Zero
 	// means DefaultLazyTransitionBudget; negative disables the bound.
 	TransitionBudget int
@@ -70,133 +69,39 @@ func (s LazyStats) Sub(o LazyStats) LazyStats {
 	}
 }
 
-// lazyDFA is the shared memo shape of every lazily determinized machine: a
-// growing table of NFA-state sets with dense ids and per-state transition
-// maps keyed by subset-id symbols. States are append-only; only trans is
-// dropped on a budget flush.
-type lazyDFA struct {
-	sets  [][]int
-	ids   map[string]int
-	trans []map[int]int
-	start int
-}
-
-func (d *lazyDFA) intern(set []int, l *LazyDet, onNew func(id int, set []int)) int {
-	k := setKeyLazy(set)
-	if id, ok := d.ids[k]; ok {
-		return id
-	}
-	id := len(d.sets)
-	d.ids[k] = id
-	d.sets = append(d.sets, set)
-	d.trans = append(d.trans, nil)
-	l.stats.StatesBuilt++
-	if onNew != nil {
-		onNew(id, set)
-	}
-	return id
-}
-
-func setKeyLazy(set []int) string {
-	b := make([]byte, 0, len(set)*4)
-	for _, s := range set {
-		b = append(b, byte(s), byte(s>>8), byte(s>>16), byte(s>>24))
-	}
-	return string(b)
-}
-
-// lazySym is the on-demand horizontal structure for one symbol: the merged
-// rule NFA with its accept-state→result mapping, determinized state by
-// state as child sequences are read.
-type lazySym struct {
-	nfa     *sfa.NFA
-	results map[int]int
-	dfa     lazyDFA
-	out     []int // DFA state → result subset id
-}
-
-// lazyFinal is the on-demand membership DFA over subset-id symbols for a
-// final NFA (or its reverse): it accepts a subset word S₁…S_k iff some
-// q₁…q_k with qᵢ ∈ Sᵢ is accepted.
-type lazyFinal struct {
-	nfa    *sfa.NFA
-	dfa    lazyDFA
-	accept []bool
-}
-
-// LazyDet is an on-demand determinization of an NHA behind the same
-// stepping surface the evaluator uses on an eager Det: subset-id states,
-// horizontal runs per symbol, and forward/backward final membership.
+// LazyDet is an on-demand determinization of an NHA behind the stepping
+// surface the evaluator uses on an eager Det: DHA states are subset ids,
+// and each horizontal and final-membership run is a walk over the states
+// of one sfa.LazyDFA. A horizontal state's Payload is its result subset id.
 type LazyDet struct {
 	Names *Names
+	// LazyGroup is the one miss lock, transition budget and counter set of
+	// every machine below: their misses intern into the shared subset
+	// table. The FlushDelta cursor is also kept under its lock.
+	*sfa.LazyGroup
 
-	mu      sync.Mutex
-	subsets *alphabet.TupleInterner
+	subsets *alphabet.TupleInterner // subset id → NHA-state subset
 	sink    int
 	iota    []int
-	bySym   []*lazySym // symbol id → horizontal structure (nil = no rules)
-	fwd     lazyFinal
-	bwd     lazyFinal
-
-	budget      int // cached-transition cap (<0 = unbounded)
-	cachedTrans int
-	stats       LazyStats
-	flushed     LazyStats // cursor for FlushDelta
+	bySym   []*sfa.LazyDFA // symbol id → horizontal machine (nil = no rules)
+	fwd     *sfa.LazyDFA   // final membership over subset ids
+	bwd     *sfa.LazyDFA   // reversed final membership
+	flushed LazyStats      // cursor for FlushDelta
 }
 
 // LazyDeterminize prepares the on-demand subset construction. It does no
 // determinization work beyond merging the per-symbol rule NFAs (linear in
-// the NHA size); states appear as inputs demand them.
+// the NHA size) and building the start states; other states appear as
+// inputs demand them.
 func (n *NHA) LazyDeterminize(opts LazyOptions) *LazyDet {
 	budget := opts.TransitionBudget
 	if budget == 0 {
 		budget = DefaultLazyTransitionBudget
 	}
-	l := &LazyDet{
-		Names:   n.Names,
-		subsets: alphabet.NewTupleInterner(),
-		budget:  budget,
-		bySym:   make([]*lazySym, n.Names.Syms.Len()),
-	}
+	l := &LazyDet{Names: n.Names, LazyGroup: sfa.NewLazyGroup(budget), subsets: alphabet.NewTupleInterner()}
 	l.sink = l.subsets.Intern(nil)
-
-	for _, rule := range n.Rules {
-		if rule.Sym < 0 || rule.Sym >= len(l.bySym) {
-			continue
-		}
-		c := l.bySym[rule.Sym]
-		if c == nil {
-			c = &lazySym{
-				nfa:     sfa.NewNFA(n.NumStates),
-				results: map[int]int{},
-				dfa:     lazyDFA{ids: map[string]int{}},
-			}
-			l.bySym[rule.Sym] = c
-		}
-		offset := c.nfa.NumStates
-		for i := 0; i < rule.Lang.NumStates; i++ {
-			c.nfa.AddState(false)
-		}
-		for s := 0; s < rule.Lang.NumStates; s++ {
-			for sym, ts := range rule.Lang.Trans[s] {
-				for _, t := range ts {
-					c.nfa.AddTrans(offset+s, sym, offset+t)
-				}
-			}
-			for _, t := range rule.Lang.Eps[s] {
-				c.nfa.AddEps(offset+s, offset+t)
-			}
-			if rule.Lang.Accept[s] {
-				c.results[offset+s] = rule.Result
-			}
-		}
-		for _, s := range rule.Lang.Start {
-			c.nfa.MarkStart(offset + s)
-		}
-	}
-
-	// ι images and the start states of every machine are materialized
-	// eagerly: they are O(|NHA|) and every run needs them.
+	// ι images and the start states of every machine are built eagerly:
+	// they are O(|NHA|) and every run needs them.
 	vars := n.Names.Vars.Len()
 	l.iota = make([]int, vars)
 	for v := 0; v < vars; v++ {
@@ -204,73 +109,21 @@ func (n *NHA) LazyDeterminize(opts LazyOptions) *LazyDet {
 		if v < len(n.Iota) {
 			qs = normalizeSet(n.Iota[v])
 		}
-		l.iota[v] = l.internSubset(qs)
+		l.iota[v] = l.subsets.Intern(qs)
 	}
-	for _, c := range l.bySym {
-		if c == nil {
-			continue
+	subset := func(q uint64) []int { return l.subsets.Tuple(int(q)) }
+	rules := n.ruleNFAs()
+	l.bySym = make([]*sfa.LazyDFA, len(rules))
+	for sym, r := range rules {
+		if r != nil {
+			l.bySym[sym] = sfa.NewLazyDFA(r.nfa, l.LazyGroup, subset, func(set []int) int32 {
+				return int32(l.subsets.Intern(resultSubset(set, r.results)))
+			})
 		}
-		start := c.nfa.EpsClosure(c.nfa.Start)
-		c.dfa.start = c.dfa.intern(start, l, func(id int, set []int) {
-			c.out = append(c.out, l.internSubset(resultSubset(set, c.results)))
-		})
 	}
-	l.fwd = lazyFinal{nfa: n.Final, dfa: lazyDFA{ids: map[string]int{}}}
-	l.bwd = lazyFinal{nfa: n.Final.Reverse(), dfa: lazyDFA{ids: map[string]int{}}}
-	l.initFinal(&l.fwd)
-	l.initFinal(&l.bwd)
+	l.fwd = sfa.NewLazyDFA(n.Final, l.LazyGroup, subset, nil)
+	l.bwd = sfa.NewLazyDFA(n.Final.Reverse(), l.LazyGroup, subset, nil)
 	return l
-}
-
-func (l *LazyDet) initFinal(f *lazyFinal) {
-	start := f.nfa.EpsClosure(f.nfa.Start)
-	f.dfa.start = f.dfa.intern(start, l, func(id int, set []int) {
-		f.accept = append(f.accept, anyAccept(f.nfa, set))
-	})
-}
-
-func anyAccept(nfa *sfa.NFA, set []int) bool {
-	for _, s := range set {
-		if nfa.Accept[s] {
-			return true
-		}
-	}
-	return false
-}
-
-func (l *LazyDet) internSubset(qs []int) int {
-	before := l.subsets.Len()
-	id := l.subsets.Intern(qs)
-	if l.subsets.Len() > before {
-		l.stats.Subsets++
-	}
-	return id
-}
-
-// chargeTrans accounts one freshly cached transition and flushes every
-// transition map when the budget is exceeded. States (and their subsets)
-// survive a flush, so ids held by callers stay valid.
-func (l *LazyDet) chargeTrans() {
-	l.cachedTrans++
-	if l.budget < 0 || l.cachedTrans <= l.budget {
-		return
-	}
-	for _, c := range l.bySym {
-		if c == nil {
-			continue
-		}
-		for i := range c.dfa.trans {
-			c.dfa.trans[i] = nil
-		}
-	}
-	for i := range l.fwd.dfa.trans {
-		l.fwd.dfa.trans[i] = nil
-	}
-	for i := range l.bwd.dfa.trans {
-		l.bwd.dfa.trans[i] = nil
-	}
-	l.cachedTrans = 0
-	l.stats.Evictions++
 }
 
 // Sink returns the subset id of the empty subset — the state the complete
@@ -285,116 +138,61 @@ func (l *LazyDet) IotaState(v int) int {
 	return l.sink
 }
 
-// SubsetOf returns the NHA state subset represented by subset id q. The
-// returned slice must not be modified.
-func (l *LazyDet) SubsetOf(q int) []int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.subsets.Tuple(q)
-}
-
-// HorizStart returns the horizontal start state for sym, or -1 when the
-// symbol is outside the construction (callers treat -1 as "result is the
-// sink", matching the eager automaton completed over the alphabet).
-func (l *LazyDet) HorizStart(sym int) int {
+// HorizStart returns the start of the horizontal run of sym, or nil when
+// the symbol is outside the construction (callers treat nil as "result is
+// the sink", matching the eager automaton completed over the alphabet).
+// The run steps on child subset ids, and the result subset id is the
+// Payload of its last state (the sink for the empty set's state).
+func (l *LazyDet) HorizStart(sym int) *sfa.LazyState {
 	if sym < 0 || sym >= len(l.bySym) || l.bySym[sym] == nil {
-		return -1
+		return nil
 	}
-	return l.bySym[sym].dfa.start
+	return l.bySym[sym].Start
 }
 
-// HorizStep advances the horizontal run of sym from state st on the child
-// subset id q, materializing the successor on demand. The lazy horizontal
-// machines are total: Step never returns a dead state.
-func (l *LazyDet) HorizStep(sym, st, q int) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	c := l.bySym[sym]
-	if t, ok := c.dfa.trans[st][q]; ok {
-		l.stats.Hits++
-		return t
-	}
-	l.stats.Misses++
-	next := stepNFAOnSubset(c.nfa, c.dfa.sets[st], l.subsets.Tuple(q))
-	to := c.dfa.intern(next, l, func(id int, set []int) {
-		c.out = append(c.out, l.internSubset(resultSubset(set, c.results)))
-	})
-	if c.dfa.trans[st] == nil {
-		c.dfa.trans[st] = make(map[int]int)
-	}
-	c.dfa.trans[st][q] = to
-	l.chargeTrans()
-	return to
-}
+// FwdStart returns the start of the forward final-membership run, which
+// steps on subset ids: a state accepts iff the subset word read so far
+// has a member word in the final language.
+func (l *LazyDet) FwdStart() *sfa.LazyState { return l.fwd.Start }
 
-// HorizOut returns the result subset id at horizontal state st of sym.
-func (l *LazyDet) HorizOut(sym, st int) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.bySym[sym].out[st]
-}
-
-// FwdStart returns the start state of the forward final-membership run.
-func (l *LazyDet) FwdStart() int { return l.fwd.dfa.start }
-
-// FwdStep advances the forward final run on subset id q.
-func (l *LazyDet) FwdStep(st, q int) int { return l.finalStep(&l.fwd, st, q) }
-
-// FwdAccepting reports whether forward final state st is accepting.
-func (l *LazyDet) FwdAccepting(st int) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.fwd.accept[st]
-}
-
-// BwdStart returns the start state of the reversed final-membership run.
-func (l *LazyDet) BwdStart() int { return l.bwd.dfa.start }
-
-// BwdStep advances the reversed final run on subset id q.
-func (l *LazyDet) BwdStep(st, q int) int { return l.finalStep(&l.bwd, st, q) }
-
-// BwdAccepting reports whether reversed final state st is accepting.
-func (l *LazyDet) BwdAccepting(st int) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.bwd.accept[st]
-}
-
-func (l *LazyDet) finalStep(f *lazyFinal, st, q int) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if t, ok := f.dfa.trans[st][q]; ok {
-		l.stats.Hits++
-		return t
-	}
-	l.stats.Misses++
-	next := stepNFAOnSubset(f.nfa, f.dfa.sets[st], l.subsets.Tuple(q))
-	to := f.dfa.intern(next, l, func(id int, set []int) {
-		f.accept = append(f.accept, anyAccept(f.nfa, set))
-	})
-	if f.dfa.trans[st] == nil {
-		f.dfa.trans[st] = make(map[int]int)
-	}
-	f.dfa.trans[st][q] = to
-	l.chargeTrans()
-	return to
-}
+// BwdStart returns the start of the reversed final-membership run.
+func (l *LazyDet) BwdStart() *sfa.LazyState { return l.bwd.Start }
 
 // Stats returns the cumulative counters.
 func (l *LazyDet) Stats() LazyStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.stats
+	l.Lock()
+	defer l.Unlock()
+	return l.stats()
+}
+
+// stats reads the counters; the caller holds the group lock. Hits are the
+// reported lookups less the misses, so a run's hits show once it has
+// reported its lookups.
+func (l *LazyDet) stats() LazyStats {
+	return LazyStats{
+		Subsets:     int64(l.subsets.Len() - 1), // the sink is not built on demand
+		StatesBuilt: l.StatesBuilt,
+		Hits:        l.Lookups.Load() - l.Misses,
+		Misses:      l.Misses,
+		Evictions:   l.Evictions,
+	}
 }
 
 // FlushDelta returns the counters accumulated since the previous FlushDelta
 // call and advances the cursor. Metrics sinks use this to fold lazy work
-// into per-evaluation flushes without double counting.
+// into per-evaluation flushes without double counting. A concurrent run
+// that has missed but not yet reported its lookups can leave the hits
+// behind the misses; the delta then reports no hits and carries the
+// shortfall to a later flush.
 func (l *LazyDet) FlushDelta() LazyStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	d := l.stats.Sub(l.flushed)
-	l.flushed = l.stats
+	l.Lock()
+	defer l.Unlock()
+	cur := l.stats()
+	d := cur.Sub(l.flushed)
+	if d.Hits < 0 {
+		cur.Hits, d.Hits = l.flushed.Hits, 0
+	}
+	l.flushed = cur
 	return d
 }
 
@@ -403,23 +201,25 @@ func (l *LazyDet) FlushDelta() LazyStats {
 // with NHA.Accepts and with the eager Determinize is the differential-fuzz
 // property.
 func (l *LazyDet) Accepts(h hedge.Hedge) bool {
-	top := l.execHedge(h)
+	var steps int64
+	top := l.execHedge(h, &steps)
 	st := l.FwdStart()
 	for _, q := range top {
-		st = l.FwdStep(st, q)
+		st = st.Step(uint64(q))
 	}
-	return l.FwdAccepting(st)
+	l.Lookups.Add(steps + int64(len(top)))
+	return st.Accept
 }
 
-func (l *LazyDet) execHedge(h hedge.Hedge) []int {
+func (l *LazyDet) execHedge(h hedge.Hedge, steps *int64) []int {
 	states := make([]int, len(h))
 	for i, n := range h {
-		states[i] = l.execNode(n)
+		states[i] = l.execNode(n, steps)
 	}
 	return states
 }
 
-func (l *LazyDet) execNode(n *hedge.Node) int {
+func (l *LazyDet) execNode(n *hedge.Node, steps *int64) int {
 	switch n.Kind {
 	case hedge.Var:
 		if v := l.Names.Vars.Lookup(n.Name); v != alphabet.None {
@@ -427,16 +227,16 @@ func (l *LazyDet) execNode(n *hedge.Node) int {
 		}
 		return l.sink
 	case hedge.Elem:
-		children := l.execHedge(n.Children)
-		sym := l.Names.Syms.Lookup(n.Name)
-		st := l.HorizStart(sym)
-		if st < 0 {
+		children := l.execHedge(n.Children, steps)
+		st := l.HorizStart(l.Names.Syms.Lookup(n.Name))
+		if st == nil {
 			return l.sink
 		}
 		for _, q := range children {
-			st = l.HorizStep(sym, st, q)
+			st = st.Step(uint64(q))
 		}
-		return l.HorizOut(sym, st)
+		*steps += int64(len(children))
+		return int(st.Payload)
 	default:
 		if v := l.Names.Vars.Lookup(SubstVarName(n.Name)); v != alphabet.None {
 			return l.IotaState(v)

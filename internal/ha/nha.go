@@ -206,42 +206,8 @@ func (d *Det) SubsetOf(q int) []int { return d.Subsets.Tuple(q) }
 // the sink).
 func (n *NHA) Determinize() *Det {
 	subsets := alphabet.NewTupleInterner()
-	empty := subsets.Intern(nil)
-	_ = empty
-
-	// combined per-symbol NFA over Q with per-accept-state results.
-	type combined struct {
-		nfa     *sfa.NFA
-		results map[int]int // nfa accept state → NHA result state
-	}
-	bySym := map[int]*combined{}
-	for _, rule := range n.Rules {
-		c := bySym[rule.Sym]
-		if c == nil {
-			c = &combined{nfa: sfa.NewNFA(n.NumStates), results: map[int]int{}}
-			bySym[rule.Sym] = c
-		}
-		offset := c.nfa.NumStates
-		for i := 0; i < rule.Lang.NumStates; i++ {
-			c.nfa.AddState(false)
-		}
-		for s := 0; s < rule.Lang.NumStates; s++ {
-			for sym, ts := range rule.Lang.Trans[s] {
-				for _, t := range ts {
-					c.nfa.AddTrans(offset+s, sym, offset+t)
-				}
-			}
-			for _, t := range rule.Lang.Eps[s] {
-				c.nfa.AddEps(offset+s, offset+t)
-			}
-			if rule.Lang.Accept[s] {
-				c.results[offset+s] = rule.Result
-			}
-		}
-		for _, s := range rule.Lang.Start {
-			c.nfa.MarkStart(offset + s)
-		}
-	}
+	subsets.Intern(nil)
+	bySym := n.ruleNFAs()
 
 	// Seed DHA states with ι images (and the empty subset).
 	vars := n.Names.Vars.Len()
@@ -258,8 +224,10 @@ func (n *NHA) Determinize() *Det {
 	// automata are explored, so rebuild until stable.
 	for {
 		before := subsets.Len()
-		for _, c := range bySym {
-			exploreHorizontal(c.nfa, c.results, subsets)
+		for _, r := range bySym {
+			if r != nil {
+				exploreHorizontal(r.nfa, r.results, subsets)
+			}
 		}
 		if subsets.Len() == before {
 			break
@@ -271,11 +239,10 @@ func (n *NHA) Determinize() *Det {
 		Names:     n.Names,
 		NumStates: numQ,
 		Iota:      iota,
-		Horiz:     make([]*Horiz, n.Names.Syms.Len()),
+		Horiz:     make([]*Horiz, len(bySym)),
 	}
-	for sym := 0; sym < n.Names.Syms.Len(); sym++ {
-		c := bySym[sym]
-		if c == nil {
+	for sym, r := range bySym {
+		if r == nil {
 			// No rules: every child sequence yields the empty subset.
 			dfa := sfa.NewDFA(numQ)
 			s := dfa.AddState(true)
@@ -286,10 +253,56 @@ func (n *NHA) Determinize() *Det {
 			d.Horiz[sym] = &Horiz{DFA: dfa, Out: []int{subsets.Intern(nil)}}
 			continue
 		}
-		d.Horiz[sym] = buildHorizontal(c.nfa, c.results, subsets)
+		d.Horiz[sym] = buildHorizontal(r.nfa, r.results, subsets)
 	}
 	d.Final = determinizeOverSubsets(n.Final, subsets)
 	return &Det{DHA: d, Subsets: subsets}
+}
+
+// ruleNFA is the horizontal NFA of one symbol: the languages of all its
+// rules merged into one NFA over Q, each accepting state mapped to the
+// result of its rule.
+type ruleNFA struct {
+	nfa     *sfa.NFA
+	results map[int]int // accepting NFA state → NHA result state
+}
+
+// ruleNFAs merges the rules of every symbol, indexed by symbol id; a
+// symbol without rules has a nil entry. Determinize and LazyDeterminize
+// both determinize these.
+func (n *NHA) ruleNFAs() []*ruleNFA {
+	bySym := make([]*ruleNFA, n.Names.Syms.Len())
+	for _, rule := range n.Rules {
+		if rule.Sym < 0 || rule.Sym >= len(bySym) {
+			continue
+		}
+		r := bySym[rule.Sym]
+		if r == nil {
+			r = &ruleNFA{nfa: sfa.NewNFA(n.NumStates), results: map[int]int{}}
+			bySym[rule.Sym] = r
+		}
+		offset := r.nfa.NumStates
+		for i := 0; i < rule.Lang.NumStates; i++ {
+			r.nfa.AddState(false)
+		}
+		for s := 0; s < rule.Lang.NumStates; s++ {
+			for sym, ts := range rule.Lang.Trans[s] {
+				for _, t := range ts {
+					r.nfa.AddTrans(offset+s, sym, offset+t)
+				}
+			}
+			for _, t := range rule.Lang.Eps[s] {
+				r.nfa.AddEps(offset+s, offset+t)
+			}
+			if rule.Lang.Accept[s] {
+				r.results[offset+s] = rule.Result
+			}
+		}
+		for _, s := range rule.Lang.Start {
+			r.nfa.MarkStart(offset + s)
+		}
+	}
+	return bySym
 }
 
 func normalizeSet(qs []int) []int {
@@ -342,71 +355,56 @@ func resultSubset(set []int, results map[int]int) []int {
 // exploreHorizontal discovers every result subset reachable with the
 // current subset alphabet, interning new subsets as it goes.
 func exploreHorizontal(nfa *sfa.NFA, results map[int]int, subsets *alphabet.TupleInterner) {
-	seen := map[string]bool{}
-	keyOf := func(set []int) string {
-		b := make([]byte, 0, len(set)*4)
-		for _, s := range set {
-			b = append(b, byte(s), byte(s>>8), byte(s>>16), byte(s>>24))
-		}
-		return string(b)
-	}
 	start := nfa.EpsClosure(nfa.Start)
-	queue := [][]int{start}
-	seen[keyOf(start)] = true
+	seen := alphabet.NewTupleInterner() // the NFA-state sets queued so far
+	seen.Intern(start)
 	subsets.Intern(resultSubset(start, results))
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	for i := 0; i < seen.Len(); i++ {
+		cur := seen.Tuple(i)
 		// NOTE: subsets.Len() may grow during this loop; iterating by
 		// index covers newly added subsets in later queue entries because
 		// the outer fixpoint re-runs exploreHorizontal until stable.
 		for id := 0; id < subsets.Len(); id++ {
 			next := stepNFAOnSubset(nfa, cur, subsets.Tuple(id))
 			subsets.Intern(resultSubset(next, results))
-			k := keyOf(next)
-			if !seen[k] {
-				seen[k] = true
-				queue = append(queue, next)
-			}
+			seen.Intern(next)
 		}
 	}
+}
+
+// overSubsets is the eager subset construction of an NFA over the subset
+// alphabet: a DFA state is an NFA-state set, and its successor on subset
+// id q is the ε-closed move on every NHA state of q. newState is called
+// with each new state's set, in id order, and says whether it accepts.
+func overSubsets(nfa *sfa.NFA, subsets *alphabet.TupleInterner, newState func(set []int) bool) *sfa.DFA {
+	numQ := subsets.Len()
+	dfa := sfa.NewDFA(numQ)
+	sets := alphabet.NewTupleInterner() // DFA state → NFA-state set
+	get := func(set []int) int {
+		id := sets.Intern(set)
+		if id == dfa.NumStates {
+			dfa.AddState(newState(set))
+		}
+		return id
+	}
+	dfa.Start = get(nfa.EpsClosure(nfa.Start))
+	for from := 0; from < sets.Len(); from++ {
+		cur := sets.Tuple(from)
+		for id := 0; id < numQ; id++ {
+			dfa.SetTrans(from, id, get(stepNFAOnSubset(nfa, cur, subsets.Tuple(id))))
+		}
+	}
+	return dfa
 }
 
 // buildHorizontal constructs the final horizontal DFA over the (now stable)
 // subset alphabet.
 func buildHorizontal(nfa *sfa.NFA, results map[int]int, subsets *alphabet.TupleInterner) *Horiz {
-	numQ := subsets.Len()
-	dfa := sfa.NewDFA(numQ)
-	ids := map[string]int{}
-	var sets [][]int
 	var out []int
-	keyOf := func(set []int) string {
-		b := make([]byte, 0, len(set)*4)
-		for _, s := range set {
-			b = append(b, byte(s), byte(s>>8), byte(s>>16), byte(s>>24))
-		}
-		return string(b)
-	}
-	get := func(set []int) int {
-		k := keyOf(set)
-		if id, ok := ids[k]; ok {
-			return id
-		}
-		id := dfa.AddState(false)
-		ids[k] = id
-		sets = append(sets, set)
+	dfa := overSubsets(nfa, subsets, func(set []int) bool {
 		out = append(out, subsets.Lookup(resultSubset(set, results)))
-		return id
-	}
-	dfa.Start = get(nfa.EpsClosure(nfa.Start))
-	for i := 0; i < len(sets); i++ {
-		cur := sets[i]
-		from := i
-		for id := 0; id < numQ; id++ {
-			next := stepNFAOnSubset(nfa, cur, subsets.Tuple(id))
-			dfa.SetTrans(from, id, get(next))
-		}
-	}
+		return false
+	})
 	return &Horiz{DFA: dfa, Out: out}
 }
 
@@ -414,43 +412,12 @@ func buildHorizontal(nfa *sfa.NFA, results map[int]int, subsets *alphabet.TupleI
 // subset-symbol word S₁…S_k iff some q₁…q_k with qᵢ ∈ Sᵢ is accepted by
 // the NFA.
 func determinizeOverSubsets(nfa *sfa.NFA, subsets *alphabet.TupleInterner) *sfa.DFA {
-	numQ := subsets.Len()
-	dfa := sfa.NewDFA(numQ)
-	ids := map[string]int{}
-	var sets [][]int
-	keyOf := func(set []int) string {
-		b := make([]byte, 0, len(set)*4)
-		for _, s := range set {
-			b = append(b, byte(s), byte(s>>8), byte(s>>16), byte(s>>24))
-		}
-		return string(b)
-	}
-	accepting := func(set []int) bool {
+	return overSubsets(nfa, subsets, func(set []int) bool {
 		for _, s := range set {
 			if nfa.Accept[s] {
 				return true
 			}
 		}
 		return false
-	}
-	get := func(set []int) int {
-		k := keyOf(set)
-		if id, ok := ids[k]; ok {
-			return id
-		}
-		id := dfa.AddState(accepting(set))
-		ids[k] = id
-		sets = append(sets, set)
-		return id
-	}
-	dfa.Start = get(nfa.EpsClosure(nfa.Start))
-	for i := 0; i < len(sets); i++ {
-		cur := sets[i]
-		from := i
-		for id := 0; id < numQ; id++ {
-			next := stepNFAOnSubset(nfa, cur, subsets.Tuple(id))
-			dfa.SetTrans(from, id, get(next))
-		}
-	}
-	return dfa
+	})
 }

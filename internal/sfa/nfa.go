@@ -1,7 +1,8 @@
 // Package sfa implements string finite automata over dense int alphabets:
 // non-deterministic automata with ε-moves, deterministic automata, subset
-// construction, minimization, boolean operations, reversal, and decision
-// procedures (emptiness, membership, equivalence).
+// construction (eager, and on demand with lock-free warm steps: LazyDFA),
+// minimization, boolean operations, reversal, and decision procedures
+// (emptiness, membership, equivalence).
 //
 // Every regular string language in the reproduction is represented here: the
 // horizontal languages α⁻¹(a,q) of hedge automata, the final-state-sequence
@@ -98,18 +99,28 @@ func (n *NFA) EpsClosure(states []int) []int {
 	return out
 }
 
-// stepSet returns the ε-closed successor set of states on sym.
-func (n *NFA) stepSet(states []int, sym int) []int {
+// stepSet returns the ε-closed successor set of states on any of syms.
+func (n *NFA) stepSet(states []int, syms ...int) []int {
 	var next []int
 	for _, s := range states {
-		if ts := n.Trans[s][sym]; len(ts) > 0 {
-			next = append(next, ts...)
+		for _, sym := range syms {
+			next = append(next, n.Trans[s][sym]...)
 		}
 	}
 	if len(next) == 0 {
 		return nil
 	}
 	return n.EpsClosure(next)
+}
+
+// anyAccept reports whether the state set holds an accepting state.
+func (n *NFA) anyAccept(states []int) bool {
+	for _, s := range states {
+		if n.Accept[s] {
+			return true
+		}
+	}
+	return false
 }
 
 // Accepts reports whether the NFA accepts the input word.
@@ -124,12 +135,7 @@ func (n *NFA) Accepts(word []int) bool {
 			return false
 		}
 	}
-	for _, s := range cur {
-		if n.Accept[s] {
-			return true
-		}
-	}
-	return false
+	return n.anyAccept(cur)
 }
 
 // AcceptsEmpty reports whether ε is in the language.

@@ -1,46 +1,29 @@
 package sfa
 
+import "xpe/internal/alphabet"
+
 // Determinize converts the NFA to a DFA by subset construction, exploring
 // only reachable subsets. Transitions of the result are partial: the empty
-// subset is represented by the implicit Dead state.
+// subset is represented by the implicit Dead state. LazyDFA is the same
+// construction on demand; this eager one is its reference.
 func (n *NFA) Determinize() *DFA {
 	d := NewDFA(n.NumSymbols)
-	ids := map[string]int{}
-	var sets [][]int
-	key := func(set []int) string {
-		b := make([]byte, 0, len(set)*4)
-		for _, s := range set {
-			b = append(b, byte(s), byte(s>>8), byte(s>>16), byte(s>>24))
-		}
-		return string(b)
-	}
-	accepting := func(set []int) bool {
-		for _, s := range set {
-			if n.Accept[s] {
-				return true
-			}
-		}
-		return false
-	}
-	get := func(set []int) int {
-		k := key(set)
-		if id, ok := ids[k]; ok {
-			return id
-		}
-		id := d.AddState(accepting(set))
-		ids[k] = id
-		sets = append(sets, set)
-		return id
-	}
 	start := n.EpsClosure(n.Start)
 	if len(start) == 0 {
 		// No start states: empty language, keep Start == Dead.
 		return d
 	}
+	sets := alphabet.NewTupleInterner() // DFA state → NFA-state set
+	get := func(set []int) int {
+		id := sets.Intern(set)
+		if id == d.NumStates {
+			d.AddState(n.anyAccept(set))
+		}
+		return id
+	}
 	d.Start = get(start)
-	for i := 0; i < len(sets); i++ {
-		set := sets[i]
-		from := i
+	for from := 0; from < sets.Len(); from++ {
+		set := sets.Tuple(from)
 		// Collect the symbols on which any member moves.
 		syms := map[int]bool{}
 		for _, s := range set {

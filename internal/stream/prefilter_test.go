@@ -149,6 +149,33 @@ func TestRunPrefilterNoRequiredLabels(t *testing.T) {
 	}
 }
 
+// TestRunByteOrderMark: a stream whose input opens with a UTF-8
+// byte-order mark, alone or before an XML declaration, delivers the
+// matches of the same stream without it, unfiltered, prefiltered and under
+// a named split, and counts the mark's three bytes in Stats.Bytes.
+func TestRunByteOrderMark(t *testing.T) {
+	names := ha.NewNames()
+	cq := compile(t, names, "[* ; price ; *] entry")
+	plain := priceFeed(30, 4)
+	_, want, _ := runCollect(t, plain, cq, Config{Workers: 1, Prefilter: PrefilterOff})
+	for _, prefix := range []string{"\xef\xbb\xbf", "\xef\xbb\xbf<?xml version=\"1.0\"?>"} {
+		input := prefix + plain
+		for name, cfg := range map[string]Config{
+			"unfiltered":  {Workers: 1, Prefilter: PrefilterOff},
+			"prefiltered": {Workers: 1, Prefilter: PrefilterAuto},
+			"named split": {Workers: 2, Split: "entry"},
+		} {
+			_, got, stats := runCollect(t, input, cq, cfg)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s %q: matches %v, want %v", name, prefix, got, want)
+			}
+			if stats.Bytes != int64(len(input)) {
+				t.Errorf("%s %q: Stats.Bytes = %d, want %d", name, prefix, stats.Bytes, len(input))
+			}
+		}
+	}
+}
+
 // TestRunPrefilterLazyStats: a lazily determinized compilation reports its
 // per-run state-construction deltas through Stats.
 func TestRunPrefilterLazyStats(t *testing.T) {

@@ -592,6 +592,11 @@ func (rr *RecordReader) skim(opens int) error {
 
 func (rr *RecordReader) read(a *Arena) (Record, error) {
 	tk := rr.tk
+	if tk.off() == 0 {
+		// One byte-order mark may open the input; its bytes still count
+		// in the input offset.
+		tk.skipBOM()
+	}
 	for {
 		if err := rr.poll(); err != nil {
 			return Record{}, err

@@ -16,8 +16,9 @@ package xmlhedge
 // malformations, which split.go's recovery classifies as resynchronizable.
 // Known divergences, pinned in TestParseDivergences: characters and names
 // are not validated against the XML charset, attribute values and PI
-// targets are not checked, the XML declaration is ignored, and end tags
-// match raw prefixed names.
+// targets are not checked, the XML declaration is ignored, a byte-order
+// mark opening the input is skipped, and end tags match raw prefixed
+// names.
 
 import (
 	"bytes"
@@ -39,6 +40,10 @@ var (
 	piEnd      = []byte("?>")
 	quoteEnd   = [...][]byte{'"': []byte(`"`), '\'': []byte(`'`)}
 )
+
+// bom is the UTF-8 byte-order mark, which XML allows before the document
+// (XML 1.0 §4.3.3 and Appendix F).
+var bom = []byte("\xef\xbb\xbf")
 
 // scanChunk bounds how far a text or CDATA search looks ahead, so the work
 // per entity or '\r' stays constant however much a pin has buffered.
@@ -683,4 +688,17 @@ func (t *tokenizer) unpin(back bool) {
 	t.crs, t.openOff, t.openBuf = p.crs, t.openOff[:p.depth], t.openBuf[:p.buf]
 	t.selfClose = p.selfClose
 	t.kind, t.name = tokStart, localName(t.top())
+}
+
+// skipBOM consumes a byte-order mark at the read position. A read error is
+// left in the source for the next token to report.
+func (t *tokenizer) skipBOM() {
+	for w := t.src.window(); len(w) < len(bom) && bytes.HasPrefix(bom, w); w = t.src.window() {
+		if t.src.fill() != nil {
+			return
+		}
+	}
+	if bytes.HasPrefix(t.src.window(), bom) {
+		t.src.consume(len(bom))
+	}
 }

@@ -256,6 +256,7 @@ func FuzzSplitVsParse(f *testing.F) {
 	f.Add(`<?xml version="1.0"?><!DOCTYPE f [<!ELEMENT f ANY>]><f><n:r>x</n:r></f>`)
 	f.Add(`<f><r>&#x41;&#66;</r> tail <r><a><b/></a></r></f>`)
 	f.Add(`<f><a:/><r>x</r></f>`)
+	f.Add("\xef\xbb\xbf<?xml version=\"1.0\"?><f><r>x</r></f>")
 	f.Fuzz(func(t *testing.T, doc string) {
 		oracle, oerr := oracleParse(doc, Options{KeepWhitespace: true})
 		if oerr != nil {
@@ -292,6 +293,71 @@ func TestDirectiveComments(t *testing.T) {
 		`<a/><!X <>>`,
 	} {
 		oracleCompare(t, doc)
+	}
+}
+
+// TestByteOrderMark: one UTF-8 byte-order mark at the start of the input,
+// before the document element or before an XML declaration, is skipped by
+// Parse and by the record reader, unfiltered, prefiltered and under a named
+// split, and its three bytes count in the input offset and the stream
+// byte budget. A mark anywhere else is character data, and outside the
+// document element an error.
+func TestByteOrderMark(t *testing.T) {
+	const mark = "\xef\xbb\xbf"
+	for _, doc := range []string{
+		mark + `<f><r>x</r><s/><r>y</r></f>`,
+		mark + `<?xml version="1.0"?>` + "\n" + `<f><r>x</r><s/><r>y</r></f>`,
+	} {
+		h, err := ParseString(doc, Options{})
+		if err != nil || h.String() != MustParseString(doc[len(mark):]).String() {
+			t.Errorf("Parse(%q) = %s, %v", doc, h, err)
+		}
+		for name, opts := range map[string]RecordOptions{
+			"unfiltered":  {},
+			"prefiltered": {Prefilter: NewPrefilter([]string{"r"})},
+			"named split": {Split: "r"},
+		} {
+			rr := NewRecordReader(strings.NewReader(doc), opts)
+			var names []string
+			for {
+				rec, err := rr.Read(nil)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatalf("%s %q: %v", name, doc, err)
+				}
+				names = append(names, rec.Hedge.String())
+			}
+			if want := []string{"r<$#text>", "r<$#text>"}; name != "unfiltered" && fmt.Sprint(names) != fmt.Sprint(want) {
+				t.Errorf("%s %q: records %q, want %q", name, doc, names, want)
+			} else if name == "unfiltered" && len(names) != 3 {
+				t.Errorf("%s %q: records %q, want three", name, doc, names)
+			}
+			if got := rr.InputOffset(); got != int64(len(doc)) {
+				t.Errorf("%s %q: input offset %d, want %d", name, doc, got, len(doc))
+			}
+		}
+		// The mark counts against the stream byte budget, which the reader
+		// checks before each record: a budget one byte short of the end of
+		// the first record stops the second.
+		end := int64(strings.Index(doc, "</r>") + len("</r>"))
+		var le *LimitError
+		if recs, err := splitAll(t, doc, RecordOptions{MaxStreamBytes: end - 1}); len(recs) != 1 || !errors.As(err, &le) {
+			t.Errorf("%q: MaxStreamBytes %d read %d records, then %v; want one, then the stream limit", doc, end-1, len(recs), err)
+		}
+	}
+	for _, doc := range []string{
+		`<f><r>x</r></f>` + mark,
+		mark + mark + `<f><r>x</r></f>`,
+		` ` + mark + `<f><r>x</r></f>`,
+	} {
+		if _, err := ParseString(doc, Options{}); err == nil || !strings.Contains(err.Error(), "character data outside the document element") {
+			t.Errorf("Parse(%q) = %v, want character data outside the document element", doc, err)
+		}
+		if _, err := splitAll(t, doc, RecordOptions{Prefilter: NewPrefilter([]string{"r"})}); err == nil {
+			t.Errorf("prefiltered split of %q accepted the misplaced mark", doc)
+		}
 	}
 }
 
@@ -337,6 +403,9 @@ func TestParseDivergences(t *testing.T) {
 		// White space is XML's four bytes: text of other Unicode spaces is
 		// kept, where the oracle's strings.TrimSpace drops it.
 		{"unicode-space-text", "<a>\u00a0</a>", true, elem("a", text("\u00a0")), ""},
+		// One UTF-8 byte-order mark may open the input, as XML allows; the
+		// oracle reads it as character data outside the document element.
+		{"byte-order-mark", "\xef\xbb\xbf<a>x</a>", false, elem("a", text("x")), ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
