@@ -53,7 +53,8 @@ soak:
 # through sfa's lazy subset construction and the eager Determinize, under
 # budgets that flush; FuzzLazyVsEagerDeterminize holds a random NHA's lazy
 # determinization (ha.LazyDet) to its eager one and to the NHA itself.
-# FuzzServeFeed posts each input to
+# FuzzMatchLine holds serve's hand-written NDJSON match lines to
+# encoding/json's. FuzzServeFeed posts each input to
 # a served feed over HTTP and requires the NDJSON of the library's shared
 # pass; it starts a server per input, so an input that reaches new code
 # gets ten minimizing runs rather than a minute of them. A failing input
@@ -70,12 +71,15 @@ fuzz:
 	$(GO) test -run NONE -fuzz '^FuzzLazyDFA$$' -fuzztime 60s ./internal/sfa/
 	@echo "fuzz: FuzzLazyVsEagerDeterminize"
 	$(GO) test -run NONE -fuzz '^FuzzLazyVsEagerDeterminize$$' -fuzztime 60s ./internal/ha/
+	@echo "fuzz: FuzzMatchLine"
+	$(GO) test -run NONE -fuzz '^FuzzMatchLine$$' -fuzztime 60s ./internal/serve/
 	@echo "fuzz: FuzzServeFeed"
 	$(GO) test -run NONE -fuzz '^FuzzServeFeed$$' -fuzztime 60s -fuzzminimizetime 10x ./internal/serve/
 
 # check is the CI gate: formatting, static analysis (go vet ./... and the
-# benchmark module's perfbench-vet), the full test suite, one race-detector run over every package, the two ≤1%
-# timing budgets (disabled tracing and serving telemetry), and the one
+# benchmark module's perfbench-vet), the full test suite, one race-detector run over every package, the
+# timing budgets (disabled tracing ≤1%; serving telemetry ≤1% on large
+# records and ≤5% on the selective shape), and the one
 # throughput gate, bench-gate. Exact properties (allocations, transitions
 # per node, match sets) are pinned by the test suite itself.
 check: fmt vet perfbench-vet build test race trace-overhead telemetry-overhead bench-gate
@@ -98,14 +102,17 @@ bench-json:
 trace-overhead:
 	$(GO) run ./cmd/xpebench -bench-json -quick -assert-trace-overhead 1 -out /dev/null
 
-# telemetry-overhead enforces the serving-telemetry budget: identical
+# telemetry-overhead enforces the serving-telemetry budgets: identical
 # feed posts through two serve.Servers (default telemetry vs
 # DisableTelemetry) in interleaved pairs must show at most 1% median
-# overhead — and the failure must be distributionally consistent (the
-# 25th-percentile pair also slower), so scheduler noise cannot flap the
-# gate.
+# overhead on 8 records of 1,500 nodes, and at most 5% (the BLIS
+# equivalence band) on the selective shape, about a thousand small
+# records of which the prefilter skips three in four. The budgets are
+# constants in cmd/xpebench. A failure must be distributionally
+# consistent (the 25th-percentile pair also slower), so scheduler noise
+# cannot flap the gate.
 telemetry-overhead:
-	$(GO) run ./cmd/xpebench -assert-telemetry-overhead 1 -quick
+	$(GO) run ./cmd/xpebench -assert-telemetry-overhead -quick
 
 # bench-gate is the one throughput gate. Eleven workloads — stream-100k
 # at 1, 4, 8 and 16 workers, degraded clean and 1%-poisoned, prefilter

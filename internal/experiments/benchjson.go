@@ -270,7 +270,7 @@ func BenchJSON(quick bool) (*BenchReport, error) {
 		countEach(cq, overheadDoc)
 		if tracing {
 			_ = trace.Since(t0)
-			_ = nilSink.Drain()
+			_, _ = nilSink.Drain(nil)
 		}
 	}
 	bareOp()

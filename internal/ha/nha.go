@@ -320,27 +320,6 @@ func normalizeSet(qs []int) []int {
 	return out
 }
 
-// stepNFAOnSubset advances an NFA-state set on a set-symbol (the union over
-// the NHA states in the subset), ε-closed.
-func stepNFAOnSubset(nfa *sfa.NFA, from []int, subset []int) []int {
-	next := map[int]bool{}
-	for _, s := range from {
-		for _, q := range subset {
-			for _, t := range nfa.Trans[s][q] {
-				next[t] = true
-			}
-		}
-	}
-	if len(next) == 0 {
-		return nil
-	}
-	lst := make([]int, 0, len(next))
-	for s := range next {
-		lst = append(lst, s)
-	}
-	return nfa.EpsClosure(lst)
-}
-
 // resultSubset extracts the NHA result subset of an NFA-state set.
 func resultSubset(set []int, results map[int]int) []int {
 	var out []int
@@ -365,7 +344,7 @@ func exploreHorizontal(nfa *sfa.NFA, results map[int]int, subsets *alphabet.Tupl
 		// index covers newly added subsets in later queue entries because
 		// the outer fixpoint re-runs exploreHorizontal until stable.
 		for id := 0; id < subsets.Len(); id++ {
-			next := stepNFAOnSubset(nfa, cur, subsets.Tuple(id))
+			next := nfa.StepSet(cur, subsets.Tuple(id)...)
 			subsets.Intern(resultSubset(next, results))
 			seen.Intern(next)
 		}
@@ -391,7 +370,7 @@ func overSubsets(nfa *sfa.NFA, subsets *alphabet.TupleInterner, newState func(se
 	for from := 0; from < sets.Len(); from++ {
 		cur := sets.Tuple(from)
 		for id := 0; id < numQ; id++ {
-			dfa.SetTrans(from, id, get(stepNFAOnSubset(nfa, cur, subsets.Tuple(id))))
+			dfa.SetTrans(from, id, get(nfa.StepSet(cur, subsets.Tuple(id)...)))
 		}
 	}
 	return dfa

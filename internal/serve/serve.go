@@ -698,8 +698,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	enc.Encode(s.Stats())
 }
 
-// evalParams are the per-request evaluation knobs shared by select and
-// feed: the poster's identity (budgets), split element, and error policy.
+// evalOptions returns the per-request evaluation knobs shared by select
+// and feed: the poster's identity (budgets), split element, and error
+// policy.
 func (s *Server) evalOptions(r *http.Request) (xpe.SelectOptions, string, error) {
 	qp := r.URL.Query()
 	tenantName := r.Header.Get("X-Tenant")
@@ -707,8 +708,11 @@ func (s *Server) evalOptions(r *http.Request) (xpe.SelectOptions, string, error)
 		tenantName = t
 	}
 	b := s.budgetsFor(tenantName)
+	// Each match line is written before yield returns, so the run may
+	// hand out its match strings as views into reused buffers.
 	opts := xpe.SelectOptions{
 		Workers:        s.opts.Workers,
+		ReuseBuffers:   true,
 		SplitElement:   qp.Get("split"),
 		MaxRecordBytes: b.MaxRecordBytes,
 		MaxRecordNodes: b.MaxRecordNodes,
@@ -727,16 +731,6 @@ func (s *Server) evalOptions(r *http.Request) (xpe.SelectOptions, string, error)
 	return opts, tenantName, nil
 }
 
-// matchLine is one NDJSON match.
-type matchLine struct {
-	Tenant     string `json:"tenant,omitempty"`
-	Query      string `json:"query"`
-	Record     int    `json:"record"`
-	RecordPath string `json:"recordPath"`
-	Path       string `json:"path"`
-	Term       string `json:"term"`
-}
-
 // summaryLine closes every NDJSON stream. Records+Prefiltered is the
 // total record count the splitter saw — the invariant the differential
 // harness pins — so consumers can compute the skim rate directly.
@@ -751,39 +745,18 @@ type summaryLine struct {
 	Queries     int   `json:"queries"`
 }
 
-// ndjson starts an NDJSON response and returns a line writer that flushes
-// after every line. Lines stream while the request body is still being
-// split, so the response is full duplex: an HTTP/1.x server otherwise
-// discards the unread body at the first flush, failing the next record's
-// read. A writer without the capability, such as a recorder, is unchanged.
-func ndjson(w http.ResponseWriter) func(v any) error {
-	_ = http.NewResponseController(w).EnableFullDuplex()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	fl, _ := w.(http.Flusher)
-	return func(v any) error {
-		if err := enc.Encode(v); err != nil {
-			return err
-		}
-		if fl != nil {
-			fl.Flush()
-		}
-		return nil
-	}
-}
-
 // finishStream accounts a finished evaluation and emits the summary (or
 // the error, when the run died after the header was committed).
-func (s *Server) finishStream(write func(any) error, stats xpe.StreamStats, nq int, err error) {
+func (s *Server) finishStream(nd *ndjson, stats xpe.StreamStats, nq int, err error) {
 	s.matches.Add(stats.Matches)
 	s.records.Add(stats.Records)
 	s.prefiltered.Add(stats.Prefiltered)
 	s.skips.Add(stats.Skipped)
 	if err != nil {
-		write(map[string]string{"error": err.Error()})
+		nd.value(map[string]string{"error": err.Error()})
 		return
 	}
-	write(struct {
+	nd.value(struct {
 		Summary summaryLine `json:"summary"`
 	}{summaryLine{
 		Records: stats.Records, Matches: stats.Matches,
@@ -831,18 +804,17 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	s.degradeBudgets(&opts)
 	s.applyTelemetry(&opts, rid, tenantName, selectFeedLabel)
 	s.selectRuns.Add(1)
-	write := ndjson(sw)
+	nd := newNDJSON(sw)
 	var werr error
 	stats, err = s.opts.Engine.SelectStream(r.Context(), r.Body, q, opts,
 		func(m xpe.StreamMatch) error {
-			werr = write(matchLine{Tenant: tenantName, Query: src + xp, Record: m.Record,
-				RecordPath: m.RecordPath, Path: m.Path, Term: m.Term})
+			werr = nd.match(tenantName, src+xp, m.Record, m.RecordPath, m.Path, m.Term)
 			return werr
 		})
 	if err == nil {
 		err = werr
 	}
-	s.finishStream(write, stats, 1, err)
+	s.finishStream(nd, stats, 1, err)
 }
 
 // applyTelemetry threads the request's observability hooks into the run
@@ -927,15 +899,14 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 	s.degradeBudgets(&opts)
 	s.applyTelemetry(&opts, rid, tenantName, feed)
 	s.feedRuns.Add(1)
-	write := ndjson(sw)
+	nd := newNDJSON(sw)
 	var werr error
 	perQuery := make([]int64, len(regs))
 	stats, err = s.opts.Engine.SelectStreamMulti(r.Context(), r.Body, qs, opts,
 		func(m xpe.MultiStreamMatch) error {
 			rq := regs[m.Query]
 			perQuery[m.Query]++
-			werr = write(matchLine{Tenant: rq.Tenant, Query: rq.Name, Record: m.Record,
-				RecordPath: m.RecordPath, Path: m.Path, Term: m.Term})
+			werr = nd.match(rq.Tenant, rq.Name, m.Record, m.RecordPath, m.Path, m.Term)
 			return werr
 		})
 	if err == nil {
@@ -949,7 +920,7 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 			s.rollups.queryMatches(regs[i].Tenant, feed, regs[i].Name, n)
 		}
 	}
-	s.finishStream(write, stats, len(qs), err)
+	s.finishStream(nd, stats, len(qs), err)
 }
 
 // refuseBrokenFeed answers a post to a feed whose breaker is open: 503,

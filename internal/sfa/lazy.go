@@ -164,7 +164,7 @@ func (d *LazyDFA) miss(s *LazyState, letter uint64) *LazyState {
 	if ok {
 		return old[i].to // published by a concurrent miss
 	}
-	to := d.state(d.nfa.stepSet(d.ids.Tuple(int(s.ID)), d.expand(letter)...))
+	to := d.state(d.nfa.StepSet(d.ids.Tuple(int(s.ID)), d.expand(letter)...))
 	es := make([]lazyEdge, len(old)+1)
 	copy(es, old[:i])
 	es[i] = lazyEdge{letter: letter, to: to}

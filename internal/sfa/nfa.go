@@ -73,44 +73,65 @@ func (n *NFA) GrowAlphabet(numSymbols int) {
 // EpsClosure returns the ε-closure of the given state set, sorted and
 // deduplicated.
 func (n *NFA) EpsClosure(states []int) []int {
-	seen := make(map[int]bool, len(states))
-	stack := make([]int, 0, len(states))
+	var seenBuf [4]uint64
+	var setBuf [32]int
+	seen, set := scratchBits(seenBuf[:], n.NumStates), setBuf[:0]
 	for _, s := range states {
-		if !seen[s] {
-			seen[s] = true
-			stack = append(stack, s)
-		}
+		set = mark(set, seen, s)
 	}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, t := range n.Eps[s] {
-			if !seen[t] {
-				seen[t] = true
-				stack = append(stack, t)
+	return n.closeOver(set, seen)
+}
+
+// StepSet returns the ε-closed successor set of states on any of syms,
+// sorted and deduplicated; nil when there is none.
+func (n *NFA) StepSet(states []int, syms ...int) []int {
+	var seenBuf [4]uint64
+	var setBuf [32]int
+	seen, set := scratchBits(seenBuf[:], n.NumStates), setBuf[:0]
+	for _, s := range states {
+		for _, sym := range syms {
+			for _, t := range n.Trans[s][sym] {
+				set = mark(set, seen, t)
 			}
 		}
 	}
-	out := make([]int, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// stepSet returns the ε-closed successor set of states on any of syms.
-func (n *NFA) stepSet(states []int, syms ...int) []int {
-	var next []int
-	for _, s := range states {
-		for _, sym := range syms {
-			next = append(next, n.Trans[s][sym]...)
-		}
-	}
-	if len(next) == 0 {
+	if len(set) == 0 {
 		return nil
 	}
-	return n.EpsClosure(next)
+	return n.closeOver(set, seen)
+}
+
+// scratchBits returns a cleared bitset over n states: buf when it is
+// large enough, so that small NFAs step without allocating scratch.
+func scratchBits(buf []uint64, n int) []uint64 {
+	if words := (n + 63) / 64; words <= len(buf) {
+		return buf[:words]
+	}
+	return make([]uint64, (n+63)/64)
+}
+
+// mark appends state s to set unless seen already holds it.
+func mark(set []int, seen []uint64, s int) []int {
+	if seen[s/64]&(1<<(s%64)) != 0 {
+		return set
+	}
+	seen[s/64] |= 1 << (s % 64)
+	return append(set, s)
+}
+
+// closeOver adds to the duplicate-free set, whose members seen holds,
+// every state reachable from them by ε-moves (set is its own work queue),
+// and returns the result sorted, in fresh storage.
+func (n *NFA) closeOver(set []int, seen []uint64) []int {
+	for i := 0; i < len(set); i++ {
+		for _, t := range n.Eps[set[i]] {
+			set = mark(set, seen, t)
+		}
+	}
+	sort.Ints(set)
+	out := make([]int, len(set))
+	copy(out, set)
+	return out
 }
 
 // anyAccept reports whether the state set holds an accepting state.
@@ -130,7 +151,7 @@ func (n *NFA) Accepts(word []int) bool {
 		if sym < 0 || sym >= n.NumSymbols {
 			return false
 		}
-		cur = n.stepSet(cur, sym)
+		cur = n.StepSet(cur, sym)
 		if len(cur) == 0 {
 			return false
 		}

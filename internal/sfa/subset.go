@@ -32,7 +32,7 @@ func (n *NFA) Determinize() *DFA {
 			}
 		}
 		for sym := range syms {
-			next := n.stepSet(set, sym)
+			next := n.StepSet(set, sym)
 			if len(next) == 0 {
 				continue
 			}

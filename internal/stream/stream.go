@@ -223,17 +223,19 @@ type Result struct {
 	fail  *RecordError
 	fatal bool
 	await chan error
-	// splitNS, evalNS and events are the split and eval stages' trace
-	// contributions, read by settle when tracing is on.
+	// splitNS, evalNS, events and dropped are the split and eval stages'
+	// trace contributions, read by settle when tracing is on; reset keeps
+	// the events buffer.
 	splitNS, evalNS int64
-	events          []trace.Event
+	events          []trace.RawEvent
+	dropped         int
 }
 
 // reset clears a recycled Result for the next record, keeping its buffers
 // and cached sinks.
 func (r *Result) reset() {
 	*r = Result{Matches: r.Matches[:0], pathBuf: r.pathBuf[:0], spare: r.spare,
-		collect: r.collect, bounded: r.bounded}
+		collect: r.collect, bounded: r.bounded, events: r.events[:0]}
 }
 
 // collectMatch is the unbounded match sink: it copies the (reused) path
@@ -407,7 +409,9 @@ func runQueries(ctx context.Context, r io.Reader, qs []*core.CompiledQuery, cfg 
 		defer func() { p.ms.WallTime.Observe(time.Since(start)) }()
 	}
 	if cfg.Trace != nil || cfg.OnSlow != nil {
-		p.sink = trace.NewEventSink()
+		p.sink = sinkPool.Get().(*trace.EventSink)
+		p.sink.Reset()
+		defer sinkPool.Put(p.sink)
 		ropts.Events = p.sink
 	}
 	p.timed = p.ms != nil || p.sink.Enabled()
@@ -444,6 +448,10 @@ func runQueries(ctx context.Context, r io.Reader, qs []*core.CompiledQuery, cfg 
 // fleetPool recycles the fleets of finished runs: rebuilding a run's
 // fleets into warm storage allocates nothing.
 var fleetPool = sync.Pool{New: func() any { return new([]core.Fleet) }}
+
+// sinkPool recycles the event sinks of finished traced runs, so a warm
+// run emits into a buffer an earlier run grew.
+var sinkPool = sync.Pool{New: func() any { return new(trace.EventSink) }}
 
 // lazyTotals sums lazy-DHA counters across distinct compilations: the same
 // compilation registered under several indices counts once.
@@ -509,7 +517,7 @@ func (p *pipe) split(arena *xmlhedge.Arena, it *batchItem) error {
 		res.Index, res.Path = res.fail.Index, res.fail.Path
 		res.fatal = p.cfg.OnRecordError == nil || !p.rr.CanRecover()
 	}
-	res.events = p.sink.Drain()
+	res.events, res.dropped = p.sink.Drain(res.events)
 	return nil
 }
 
@@ -671,17 +679,19 @@ func (p *pipe) settle(r *Result) (stop bool, err error) {
 		}
 	}
 	if p.sink.Enabled() {
-		rt := trace.RecordTrace{Index: r.Index, Path: r.Path.String(),
+		// The path and events are committed as they are; the ring renders
+		// their text only when read.
+		e := trace.Entry{Index: r.Index, Path: r.Path,
 			SplitNS: r.splitNS, EvalNS: r.evalNS, DeliverNS: deliverNS,
 			TotalNS: r.splitNS + r.evalNS + deliverNS, Nodes: r.Nodes,
 			Matches: len(r.Matches), Outcome: outcome, Events: r.events,
-			RequestID: p.cfg.RequestID}
+			EventsDropped: r.dropped, RequestID: p.cfg.RequestID}
 		if cause != nil {
-			rt.Error = cause.Error()
+			e.Error = cause.Error()
 		}
-		p.cfg.Trace.Commit(rt)
-		if p.cfg.OnSlow != nil && p.cfg.SlowThreshold > 0 && rt.TotalNS >= int64(p.cfg.SlowThreshold) {
-			p.cfg.OnSlow(rt)
+		p.cfg.Trace.Commit(&e)
+		if p.cfg.OnSlow != nil && p.cfg.SlowThreshold > 0 && e.TotalNS >= int64(p.cfg.SlowThreshold) {
+			p.cfg.OnSlow(e.Render())
 		}
 	}
 	if r.await != nil {

@@ -3,6 +3,8 @@ package stream
 import (
 	"context"
 	"fmt"
+	"io"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"xpe/internal/core"
 	"xpe/internal/ha"
 	"xpe/internal/metrics"
+	"xpe/internal/trace"
 	"xpe/internal/xmlhedge"
 )
 
@@ -237,8 +240,9 @@ func TestRunLimitAborts(t *testing.T) {
 
 // TestRunAllocsFlatInRecords pins that a single-worker run allocates
 // nothing per record: the count per run is the same at N, 4N and 16N
-// records, with and without the prefilter skim, a record timeout and a
-// metrics sink.
+// records, with and without the prefilter skim, a record timeout, a
+// metrics sink and a flight recorder (whose warm ring commits without
+// allocating).
 func TestRunAllocsFlatInRecords(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector drops sync.Pool items at random, perturbing AllocsPerRun")
@@ -251,29 +255,89 @@ func TestRunAllocsFlatInRecords(t *testing.T) {
 	for _, skim := range []bool{false, true} {
 		for _, timeout := range []time.Duration{0, time.Hour} {
 			for _, sunk := range []bool{false, true} {
-				cfg := Config{Workers: 1, Prefilter: PrefilterOff, RecordTimeout: timeout}
-				if skim {
-					cfg.Prefilter = PrefilterAuto
-				}
-				if sunk {
-					cfg.Metrics = &metrics.Metrics{}
-				}
-				var got []float64
-				for _, input := range inputs {
-					run := func() {
-						if _, err := Run(context.Background(), strings.NewReader(input), cq, cfg,
-							func(*Result) error { return nil }); err != nil {
-							t.Fatal(err)
-						}
+				for _, traced := range []bool{false, true} {
+					cfg := Config{Workers: 1, Prefilter: PrefilterOff, RecordTimeout: timeout}
+					if skim {
+						cfg.Prefilter = PrefilterAuto
 					}
-					run() // warm arenas, pools and the mirror automaton
-					got = append(got, testing.AllocsPerRun(10, run))
-				}
-				if got[0] != got[1] || got[1] != got[2] {
-					t.Errorf("skim=%v timeout=%v metrics=%v: allocs/run at 100, 400, 1600 records = %v, want equal",
-						skim, timeout, sunk, got)
+					if sunk {
+						cfg.Metrics = &metrics.Metrics{}
+					}
+					if traced {
+						cfg.Trace = trace.New(16)
+					}
+					var got []float64
+					for _, input := range inputs {
+						run := func() {
+							if _, err := Run(context.Background(), strings.NewReader(input), cq, cfg,
+								func(*Result) error { return nil }); err != nil {
+								t.Fatal(err)
+							}
+						}
+						run() // warm arenas, pools, the mirror automaton and the ring
+						got = append(got, testing.AllocsPerRun(10, run))
+					}
+					if got[0] != got[1] || got[1] != got[2] {
+						t.Errorf("skim=%v timeout=%v metrics=%v trace=%v: allocs/run at 100, 400, 1600 records = %v, want equal",
+							skim, timeout, sunk, traced, got)
+					}
 				}
 			}
 		}
+	}
+}
+
+// eofProbe calls atEOF once, when the reader it wraps first reports
+// io.EOF: the moment the splitter has read the whole input.
+type eofProbe struct {
+	r     io.Reader
+	atEOF func()
+}
+
+func (p *eofProbe) Read(b []byte) (int, error) {
+	n, err := p.r.Read(b)
+	if err == io.EOF && p.atEOF != nil {
+		p.atEOF()
+		p.atEOF = nil
+	}
+	return n, err
+}
+
+// TestTracedRunHeapFlatInSkippedRecords pins the events cap: with tracing
+// on, a run whose every record the prefilter skips holds the same live
+// heap when its input ends, at 1k and at 16k records. Each skip emits an
+// event that waits in the sink for the next kept record, so without the
+// cap the sink grew with the records; stream promises O(largest record).
+func TestTracedRunHeapFlatInSkippedRecords(t *testing.T) {
+	cq := compile(t, ha.NewNames(), "[* ; a ; b .] (entry|feed)*")
+	liveAtEOF := func(records int) int64 {
+		input := "<feed>" + strings.Repeat("<entry><c/></entry>", records) + "</feed>"
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		base := ms.HeapAlloc
+		var atEOF uint64
+		r := &eofProbe{r: strings.NewReader(input), atEOF: func() {
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			atEOF = ms.HeapAlloc
+		}}
+		stats, err := Run(context.Background(), r, cq, Config{Workers: 1, Trace: trace.New(32)},
+			func(*Result) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Prefiltered != int64(records) {
+			t.Fatalf("%d of %d records prefiltered, want all", stats.Prefiltered, records)
+		}
+		runtime.KeepAlive(input)
+		return int64(atEOF) - int64(base)
+	}
+	liveAtEOF(1000) // warm pools
+	small, large := liveAtEOF(1000), liveAtEOF(16000)
+	t.Logf("live heap at EOF over the run's base: %d B at 1k skipped records, %d B at 16k", small, large)
+	if large-small > 64<<10 {
+		t.Fatalf("live heap at EOF over the run's base: %d B at 1k skipped records, %d B at 16k; want flat",
+			small, large)
 	}
 }

@@ -22,8 +22,9 @@ package xmlhedge
 // rewound to the pin and parsed byte-identically to an unfiltered run.
 
 import (
-	"fmt"
 	"sort"
+
+	"xpe/internal/trace"
 )
 
 // prefilterLookahead caps how many bytes past the record root's start tag
@@ -278,8 +279,7 @@ func (rr *RecordReader) tryPrefilter(startOff int64) bool {
 	// index and sibling slot (skipped records leave numbering gaps exactly
 	// like failed ones).
 	if s := rr.opts.Events; s.Enabled() {
-		s.Emit("prefilter", fmt.Sprintf("record %d skipped by prefilter at byte %d (%d bytes)",
-			rr.idx, startOff, tk.off()-startOff))
+		s.Emit(trace.RawEvent{Kind: trace.EvPrefilter, Record: rr.idx, Off: startOff, N: tk.off() - startOff})
 	}
 	if m := rr.opts.Metrics; m != nil {
 		m.RecordsPrefiltered.Inc()

@@ -479,8 +479,9 @@ func TestPrefilterResyncAfterSkip(t *testing.T) {
 		}
 	}
 	var pfEvents int
-	for _, e := range sink.Drain() {
-		if e.Name == "prefilter" {
+	events, _ := sink.Drain(nil)
+	for _, e := range events {
+		if e.Render().Name == "prefilter" {
 			pfEvents++
 		}
 	}

@@ -512,14 +512,14 @@ func (rr *RecordReader) Recover() error {
 	switch p.kind {
 	case recEOF:
 		if s := rr.opts.Events; s.Enabled() {
-			s.Emit("truncated", fmt.Sprintf("record %d: input truncated, stream ends", rr.idx))
+			s.Emit(trace.RawEvent{Kind: trace.EvTruncated, Record: rr.idx})
 		}
 		rr.idx++
 		rr.err = io.EOF
 		return nil
 	case recSkim:
 		if s := rr.opts.Events; s.Enabled() {
-			s.Emit("skim", fmt.Sprintf("record %d: skimming %d open element(s)", rr.idx, p.opens))
+			s.Emit(trace.RawEvent{Kind: trace.EvSkim, Record: rr.idx, N: int64(p.opens)})
 		}
 		if err := rr.skim(p.opens); err != nil {
 			var se *xml.SyntaxError
@@ -550,8 +550,7 @@ func (rr *RecordReader) Recover() error {
 // the failed record's slot.
 func (rr *RecordReader) enterDegraded() error {
 	if s := rr.opts.Events; s.Enabled() {
-		s.Emit("resync", fmt.Sprintf("record %d: raw scan for <%s from byte %d",
-			rr.idx, rr.opts.Split, rr.scanPos))
+		s.Emit(trace.RawEvent{Kind: trace.EvResync, Record: rr.idx, Name: rr.opts.Split, Off: rr.scanPos})
 	}
 	rr.consumeSlot()
 	rr.degraded = true
@@ -669,7 +668,7 @@ func (rr *RecordReader) readDegraded(a *Arena) (Record, error) {
 		return Record{}, err // io.EOF, cancellation, or budget exhaustion
 	}
 	if s := rr.opts.Events; s.Enabled() {
-		s.Emit("resync_hit", fmt.Sprintf("record start candidate at byte %d", pos))
+		s.Emit(trace.RawEvent{Kind: trace.EvResyncHit, Off: pos})
 	}
 	if err := rr.tr.rewind(pos); err != nil {
 		return Record{}, err
@@ -724,14 +723,14 @@ func (rr *RecordReader) readRecord(a *Arena, startOff int64) (Record, error) {
 	tk := rr.tk
 	depth := len(rr.idxs)
 	rec := Record{Index: rr.idx, Path: rr.nextPathIn(a), Hint: rr.takeHint()}
-	if s := rr.opts.Events; s.Enabled() {
-		s.Emit("record", fmt.Sprintf("record %d <%s> at byte %d", rec.Index, tk.name, startOff))
-	}
 	var root *hedge.Node
 	if a == nil {
 		root = &hedge.Node{Kind: hedge.Elem, Name: string(tk.name)}
 	} else {
 		root = a.node(hedge.Elem, a.internName(tk.name))
+	}
+	if s := rr.opts.Events; s.Enabled() {
+		s.Emit(trace.RawEvent{Kind: trace.EvRecord, Record: rec.Index, Name: root.Name, Off: startOff})
 	}
 	rec.Nodes = 1
 	rr.stack = append(rr.stack[:0], root)

@@ -60,7 +60,7 @@ func (fr *FlightRecorder) WriteJSON(w io.Writer) error { return fr.tracer().Writ
 // commitDoc records one in-memory document evaluation; Index -1 marks
 // the absence of a record stream.
 func (fr *FlightRecorder) commitDoc(query string, evalNS int64, nodes, matches int) {
-	fr.tracer().Commit(RecordTrace{Index: -1, Query: query,
+	fr.tracer().Commit(&trace.Entry{Index: -1, Query: query,
 		EvalNS: evalNS, TotalNS: evalNS, Nodes: nodes, Matches: matches, Outcome: "ok"})
 }
 
