@@ -57,22 +57,24 @@ soak:
 # encoding/json's. FuzzServeFeed posts each input to
 # a served feed over HTTP and requires the NDJSON of the library's shared
 # pass; it starts a server per input, so an input that reaches new code
-# gets ten minimizing runs rather than a minute of them. A failing input
-# is written under the package's testdata/fuzz; commit it as a regression
-# seed once fixed.
+# gets ten minimizing runs rather than a minute of them. Every other
+# target minimizes a new input in at most 100 runs: unbounded, minimizing
+# one input could take the rest of the minute at 0 execs/sec (FuzzLazyDFA
+# executed 1,621 inputs in a minute so). A failing input is written under
+# the package's testdata/fuzz; commit it as a regression seed once fixed.
 fuzz:
 	@for t in FuzzSplitVsParse FuzzPrefilterDifferential FuzzRecordReader FuzzRecordReaderSkip FuzzReaderChunking; do \
 		echo "fuzz: $$t"; \
-		$(GO) test -run NONE -fuzz "^$$t\$$" -fuzztime 60s ./internal/xmlhedge/ || exit 1; \
+		$(GO) test -run NONE -fuzz "^$$t\$$" -fuzztime 60s -fuzzminimizetime 100x ./internal/xmlhedge/ || exit 1; \
 	done
 	@echo "fuzz: FuzzFleet"
-	$(GO) test -run NONE -fuzz '^FuzzFleet$$' -fuzztime 60s ./internal/core/
+	$(GO) test -run NONE -fuzz '^FuzzFleet$$' -fuzztime 60s -fuzzminimizetime 100x ./internal/core/
 	@echo "fuzz: FuzzLazyDFA"
-	$(GO) test -run NONE -fuzz '^FuzzLazyDFA$$' -fuzztime 60s ./internal/sfa/
+	$(GO) test -run NONE -fuzz '^FuzzLazyDFA$$' -fuzztime 60s -fuzzminimizetime 100x ./internal/sfa/
 	@echo "fuzz: FuzzLazyVsEagerDeterminize"
-	$(GO) test -run NONE -fuzz '^FuzzLazyVsEagerDeterminize$$' -fuzztime 60s ./internal/ha/
+	$(GO) test -run NONE -fuzz '^FuzzLazyVsEagerDeterminize$$' -fuzztime 60s -fuzzminimizetime 100x ./internal/ha/
 	@echo "fuzz: FuzzMatchLine"
-	$(GO) test -run NONE -fuzz '^FuzzMatchLine$$' -fuzztime 60s ./internal/serve/
+	$(GO) test -run NONE -fuzz '^FuzzMatchLine$$' -fuzztime 60s -fuzzminimizetime 100x ./internal/serve/
 	@echo "fuzz: FuzzServeFeed"
 	$(GO) test -run NONE -fuzz '^FuzzServeFeed$$' -fuzztime 60s -fuzzminimizetime 10x ./internal/serve/
 

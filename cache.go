@@ -9,19 +9,24 @@ import (
 )
 
 // compiledCacheCap bounds the engine's compiled-query cache. Each entry is
-// one (source, kind, alphabet generation) compilation; distinct generations
-// of the same source are distinct entries, so the bound also caps how many
-// stale compilations a churning alphabet can pin.
+// one (source, kind, alphabet generation) compilation, or one (source,
+// kind) compilation valid at every generation; distinct generations of the
+// same source are distinct entries, so the bound also caps how many stale
+// compilations a churning alphabet can pin.
 const compiledCacheCap = 256
 
 // cacheKey identifies one compilation: the query source, how it is parsed
 // (selection-query syntax vs XPath translation), and the alphabet
-// generation it was requested against.
+// generation it was requested against — anyGen for a stable compilation.
 type cacheKey struct {
 	kind byte // kindQuery or kindXPath
 	gen  uint64
 	src  string
 }
+
+// anyGen is the key generation of a compilation valid at every generation
+// (see stable); no alphabet reaches it.
+const anyGen = ^uint64(0)
 
 // Query source kinds (the parse/translate pipeline a source goes through).
 const (
@@ -91,6 +96,39 @@ func (c *compiledCache) get(key cacheKey, compile func() (*core.CompiledQuery, e
 		c.remove(key, entry)
 	}
 	return entry.cq, entry.err
+}
+
+// lookup returns the compilation under key, counting a hit, or nil
+// without counting anything. Only completed compilations are stored under
+// the keys it is asked for (rekey moves an entry once its compile is done).
+func (c *compiledCache) lookup(key cacheKey) *core.CompiledQuery {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok {
+		return nil
+	}
+	c.ll.MoveToFront(el)
+	c.metrics.Hits.Inc()
+	return el.Value.(*cacheEntry).cq
+}
+
+// rekey moves the completed entry under from to key to, or drops it when
+// to is already taken.
+func (c *compiledCache) rekey(from, to cacheKey) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[from]
+	if !ok {
+		return
+	}
+	delete(c.entries, from)
+	if _, taken := c.entries[to]; taken {
+		c.ll.Remove(el)
+		return
+	}
+	el.Value.(*cacheEntry).key = to
+	c.entries[to] = el
 }
 
 // put inserts an already-completed compilation under key if the key is

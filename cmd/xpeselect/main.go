@@ -16,7 +16,9 @@
 // subtree only. The query is resolved against the alphabet once, when
 // the stream starts, so '.' in a streamed query ranges over the labels
 // interned at that point (its own labels, on a fresh engine) — labels
-// first seen mid-stream stay outside its closed world for the run.
+// first seen mid-stream stay outside its closed world for the run. A
+// query without '.' does not depend on the alphabet and is never
+// recompiled.
 //
 // -on-error picks the failed-record policy for -stream: abort (default)
 // stops at the first bad record, skip drops it and continues (requires
@@ -274,7 +276,8 @@ func printSummary(eng *xpe.Engine, stats xpe.StreamStats, showMetrics bool) {
 
 // cacheSummary renders the compiled-query cache counters for the run
 // summary; recompiles (misses past the first per query) mean the
-// alphabet grew between compilation and evaluation.
+// alphabet grew between compilation and evaluation of a '.'-bearing or
+// XPath query.
 func cacheSummary(eng *xpe.Engine) string {
 	c := eng.Stats().Cache
 	return fmt.Sprintf(" (query cache: %d hit(s), %d miss(es))", c.Hits, c.Misses)
@@ -292,10 +295,11 @@ func printMetrics(eng *xpe.Engine, enabled bool) {
 }
 
 // compileQuery compiles whichever of -query / -xpath was given. Compile
-// order no longer affects what a query locates — compiled queries are
-// generation-stamped and recompile transparently when the alphabet has
-// grown — but the in-memory path still compiles after the document parse
-// so the evaluation pays no first-use recompile.
+// order no longer affects what a query locates — a query without '.'
+// does not depend on the alphabet, and the rest are generation-stamped
+// and recompile transparently when the alphabet has grown — but the
+// in-memory path still compiles after the document parse so a '.'-bearing
+// or XPath query pays no first-use recompile.
 func compileQuery(eng *xpe.Engine, query, xpathQ string) *xpe.Query {
 	var q *xpe.Query
 	var err error

@@ -8,11 +8,14 @@
 // assigns a fresh symbol advances a monotonically increasing generation
 // counter. Closed-world consumers ('.'-any-hedge desugaring, schema
 // products) record the generation they compiled against and revalidate when
-// it moves — see ha.Names.Generation and the core compile pipeline.
+// it moves — see ha.Names.Generation and the core compile pipeline. View
+// freezes an interner's symbols in O(1): interning is append-only, so the
+// names interned so far are a prefix that never changes.
 package alphabet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,11 +33,18 @@ const None Symbol = -1
 // interning a genuinely new name takes the write lock and advances the
 // generation counter (reading the counter is a single atomic load, so
 // generation checks stay off the lock entirely).
+//
+// An Interner is either live or a view (see View). A view holds the prefix
+// of its origin's names that existed when it was taken and never grows:
+// its lookups read the origin's map under the origin's read lock and treat
+// every symbol at or past the prefix as not interned.
 type Interner struct {
 	mu    sync.RWMutex
 	names []string
 	ids   map[string]Symbol
 	gen   atomic.Uint64 // == len(names); advances only under mu
+	// origin is the live interner a view reads through; nil when live.
+	origin *Interner
 }
 
 // NewInterner returns an empty interner.
@@ -42,8 +52,16 @@ func NewInterner() *Interner {
 	return &Interner{ids: make(map[string]Symbol)}
 }
 
-// Intern returns the symbol for name, assigning a fresh one if needed.
+// Intern returns the symbol for name, assigning a fresh one if needed. A
+// view cannot assign one: interning a name a view does not hold panics, so
+// intern into the origin before taking the view.
 func (in *Interner) Intern(name string) Symbol {
+	if in.origin != nil {
+		if s := in.Lookup(name); s != None {
+			return s
+		}
+		panic(fmt.Sprintf("alphabet: Intern(%q) on a view that does not hold it", name))
+	}
 	// Fast path: the name is usually already interned.
 	in.mu.RLock()
 	s, ok := in.ids[name]
@@ -66,8 +84,19 @@ func (in *Interner) Intern(name string) Symbol {
 	return s
 }
 
-// Lookup returns the symbol for name, or None if it was never interned.
+// Lookup returns the symbol for name, or None if it was never interned (in
+// a view: not interned when the view was taken). It takes one read lock,
+// the origin's in a view, and allocates nothing.
 func (in *Interner) Lookup(name string) Symbol {
+	if o := in.origin; o != nil {
+		o.mu.RLock()
+		s, ok := o.ids[name]
+		o.mu.RUnlock()
+		if ok && s < len(in.names) {
+			return s
+		}
+		return None
+	}
 	in.mu.RLock()
 	defer in.mu.RUnlock()
 	if s, ok := in.ids[name]; ok {
@@ -79,20 +108,26 @@ func (in *Interner) Lookup(name string) Symbol {
 // Name returns the name of s, or a diagnostic placeholder for unknown
 // symbols.
 func (in *Interner) Name(s Symbol) string {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	if s < 0 || s >= len(in.names) {
+	names := in.prefix()
+	if s < 0 || s >= len(names) {
 		return fmt.Sprintf("<sym:%d>", s)
 	}
-	return in.names[s]
+	return names[s]
+}
+
+// prefix returns the interned names. The slice is never written to below
+// its length (interning only appends), so it is safe to read unlocked.
+func (in *Interner) prefix() []string {
+	if in.origin != nil {
+		return in.names
+	}
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	return in.names[:len(in.names):len(in.names)]
 }
 
 // Len reports the number of interned symbols.
-func (in *Interner) Len() int {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return len(in.names)
-}
+func (in *Interner) Len() int { return len(in.prefix()) }
 
 // Generation returns the interner's version: a monotonically increasing
 // counter that advances exactly when a fresh symbol is interned (it equals
@@ -102,13 +137,7 @@ func (in *Interner) Len() int {
 func (in *Interner) Generation() uint64 { return in.gen.Load() }
 
 // Names returns a copy of all interned names, in symbol order.
-func (in *Interner) Names() []string {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	out := make([]string, len(in.names))
-	copy(out, in.names)
-	return out
-}
+func (in *Interner) Names() []string { return slices.Clone(in.prefix()) }
 
 // SortedNames returns all interned names in lexicographic order.
 func (in *Interner) SortedNames() []string {
@@ -117,13 +146,37 @@ func (in *Interner) SortedNames() []string {
 	return out
 }
 
-// Clone returns an independent copy of the interner.
+// Clone returns an independent live copy of the interner: it can intern
+// names the original never sees.
 func (in *Interner) Clone() *Interner {
 	c := NewInterner()
-	for _, n := range in.Names() {
+	for _, n := range in.prefix() {
 		c.Intern(n)
 	}
 	return c
+}
+
+// View returns an immutable view of the interner as it stands, in O(1):
+// the names interned so far and their symbols, read through the origin.
+// Later interns into the origin do not show in the view. A view of a view
+// is the view itself.
+func (in *Interner) View() *Interner {
+	if in.origin != nil {
+		return in
+	}
+	v := &Interner{names: in.prefix(), origin: in}
+	v.gen.Store(uint64(len(v.names)))
+	return v
+}
+
+// Origin returns the live interner in reads through: its origin if in is a
+// view, else in itself. Views of one origin agree on every symbol they
+// share, and the longer one holds the shorter.
+func (in *Interner) Origin() *Interner {
+	if in.origin != nil {
+		return in.origin
+	}
+	return in
 }
 
 // Extends reports whether in is an append-only extension of base: every
@@ -132,8 +185,8 @@ func (in *Interner) Clone() *Interner {
 // and is what makes automata compiled against an older snapshot rebasable
 // onto a newer one — the common symbols keep their ids.
 func (in *Interner) Extends(base *Interner) bool {
-	bn := base.Names()
-	an := in.Names()
+	bn := base.prefix()
+	an := in.prefix()
 	if len(an) < len(bn) {
 		return false
 	}

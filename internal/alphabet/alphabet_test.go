@@ -104,6 +104,43 @@ func TestInternerGeneration(t *testing.T) {
 	}
 }
 
+// TestInternerView pins a view's contract: it holds the names interned
+// when it was taken, under their ids, and none interned later; it interns
+// nothing; its lookups allocate nothing.
+func TestInternerView(t *testing.T) {
+	in := NewInterner()
+	a, b := in.Intern("a"), in.Intern("b")
+	v := in.View()
+	c := in.Intern("c")
+	if v.Len() != 2 || v.Generation() != 2 || in.Len() != 3 {
+		t.Fatalf("view Len %d, Generation %d; origin Len %d", v.Len(), v.Generation(), in.Len())
+	}
+	if v.Lookup("a") != a || v.Lookup("b") != b || v.Lookup("c") != None || v.Lookup("zzz") != None {
+		t.Fatal("view lookups wrong")
+	}
+	if v.Name(b) != "b" || v.Name(c) == "c" {
+		t.Fatalf("view names: %q, %q", v.Name(b), v.Name(c))
+	}
+	if v.Intern("a") != a {
+		t.Fatal("interning a held name into a view moved it")
+	}
+	if v.Origin() != in || in.Origin() != in || v.View() != v {
+		t.Fatal("origin or view of a view wrong")
+	}
+	if w := in.View(); !w.Extends(v) || v.Extends(w) || w.Len() != 3 {
+		t.Fatal("a later view must extend an earlier one and not the reverse")
+	}
+	if n := testing.AllocsPerRun(100, func() { v.Lookup("b"); v.Lookup("c") }); n != 0 {
+		t.Fatalf("view lookups allocate %v times", n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("interning a name the view does not hold did not panic")
+		}
+	}()
+	v.Intern("c")
+}
+
 // TestInternerConcurrent hammers one interner from concurrent writers and
 // readers; run under -race this pins the thread-safety contract the shared
 // Engine relies on. Symbols interned for the same name must agree across
@@ -128,6 +165,10 @@ func TestInternerConcurrent(t *testing.T) {
 				_ = in.Name(syms[w][i])
 				_ = in.Generation()
 				_ = in.Len()
+				if v := in.View(); v.Lookup(name) != syms[w][i] || v.Name(syms[w][i]) != name {
+					t.Errorf("a view taken after interning %q does not hold it", name)
+					return
+				}
 			}
 		}(w)
 	}

@@ -30,14 +30,6 @@ type CompiledPHR struct {
 	PHR   *PHR
 	Names *ha.Names
 
-	// Gen is the alphabet generation (Names.Generation) the side automata
-	// were compiled against. The closed-world machinery — component DHAs
-	// complete over the interned alphabet, '.'-side desugaring — is exact
-	// for documents whose labels were interned at or before Gen; callers
-	// that intern labels afterwards must recompile (the xpe facade does so
-	// transparently through its compiled-query cache).
-	Gen uint64
-
 	comps []*component // deduplicated side automata
 	bases []baseTest   // per base: label and required membership bits
 
@@ -78,7 +70,7 @@ func (c *CompiledPHR) SetMetrics(m *metrics.Eval) { c.metrics = m }
 // DFAs in both directions — or, in lazy mode, an on-demand subset
 // construction behind the same stepping surface.
 type component struct {
-	key string // the side expression's rendering: its identity in a fleet
+	key autoKey // the side expression's identity in a fleet
 
 	dha *ha.DHA
 	fwd *sfa.DFA // complete final DFA over dha states (prefix membership)
@@ -301,15 +293,16 @@ func CompilePHROpt(phr *PHR, names *ha.Names, opts Options) (*CompiledPHR, error
 	}
 	// Intern the PHR's own alphabet first, then capture the generation:
 	// the automaton build below re-interns the same names idempotently, so
-	// Gen is the exact closed world the side automata range over.
+	// gen is the exact closed world the '.'-sides range over.
 	internPHRAlphabet(phr, names)
-	c := &CompiledPHR{PHR: phr, Names: names, Gen: names.Generation()}
+	gen := names.Generation()
+	c := &CompiledPHR{PHR: phr, Names: names}
 	for i, e := range sides {
 		comp, err := compileComponent(e, names, opts)
 		if err != nil {
 			return nil, err
 		}
-		comp.key = keys[i]
+		comp.key = newAutoKey(e, keys[i], gen)
 		c.comps = append(c.comps, comp)
 	}
 	bit := func(ci int) uint64 {

@@ -8,6 +8,7 @@ import (
 	"xpe/internal/alphabet"
 	"xpe/internal/ha"
 	"xpe/internal/hedge"
+	"xpe/internal/hre"
 	"xpe/internal/sfa"
 )
 
@@ -31,8 +32,10 @@ const MaxFleet = 64
 // SelectEach, Locate, ExplainEach and the bindings share this one kernel.
 // A Fleet is immutable once built and safe for concurrent evaluation.
 type Fleet struct {
-	// Names is the alphabet every member was compiled against; an
-	// evaluation resolves the document's labels in it once.
+	// Names is the widest of the alphabet views the members were compiled
+	// against, all views of one live alphabet; an evaluation resolves the
+	// document's labels in it once. A label past a member's own view takes
+	// that member's sinks, as the label would in its own view.
 	Names *ha.Names
 	// First is the index, in the slice given to AppendFleets, of the
 	// fleet's first member: member i is query First+i.
@@ -51,12 +54,23 @@ type Fleet struct {
 }
 
 // autoKey identifies a side or e₁ automaton within a fleet: automata
-// compiled from one expression at one generation of one Names answer every
-// membership alike, whichever query compiled them, so the fleet steps the
-// first one admitted.
+// compiled from one expression answer every membership alike, whichever
+// query compiled them, so the fleet steps the first one admitted. Only '.'
+// reads the alphabet, so a '.'-free expression is keyed by its rendering
+// alone (gen 0), and a '.'-bearing one also by the generation it was
+// compiled at, which is never 0: its substitution symbol is interned first.
 type autoKey struct {
 	gen  uint64
 	expr string
+}
+
+// newAutoKey returns the key of expression e, rendered as expr and
+// compiled at generation gen.
+func newAutoKey(e *hre.Expr, expr string, gen uint64) autoKey {
+	if !e.MentionsAny() {
+		gen = 0
+	}
+	return autoKey{gen: gen, expr: expr}
 }
 
 func indexKey(keys []autoKey, k autoKey) int {
@@ -78,11 +92,12 @@ type member struct {
 	mark   uint64 // fleet mark bit of the e₁ condition; 0 = any subhedge
 }
 
-// AppendFleets partitions qs into fleets, maximal contiguous runs that
-// share one Names and one metrics sink within the MaxFleet limits, and
-// returns them in dst[:0]. The elements of dst, and its spare capacity,
-// lend their storage to the new fleets, so rebuilding a run's fleets into
-// the slice a previous build returned allocates nothing once warm.
+// AppendFleets partitions qs into fleets, maximal contiguous runs over
+// views of one alphabet that share one metrics sink within the MaxFleet
+// limits, and returns them in dst[:0]. The elements of dst, and its spare
+// capacity, lend their storage to the new fleets, so rebuilding a run's
+// fleets into the slice a previous build returned allocates nothing once
+// warm.
 func AppendFleets(dst []Fleet, qs []*CompiledQuery) []Fleet {
 	dst = dst[:0]
 	for i, cq := range qs {
@@ -120,24 +135,25 @@ func (f *Fleet) reset(names *ha.Names, first int) {
 }
 
 // admit adds the query (phr, sub) as the fleet's next member. It reports
-// false, leaving the fleet as it was, when the query does not share the
-// fleet's Names and metrics sink or would break a MaxFleet limit.
+// false, leaving the fleet as it was, when the query's alphabet is not a
+// view of the fleet's, its metrics sink is another, or it would break a
+// MaxFleet limit.
 func (f *Fleet) admit(phr *CompiledPHR, sub *subChecker) bool {
-	if len(f.members) == MaxFleet || phr.Names != f.Names ||
+	if len(f.members) == MaxFleet || !phr.Names.SameOrigin(f.Names) ||
 		(len(f.members) > 0 && phr.metrics != f.members[0].phr.metrics) {
 		return false
 	}
 	var remap [maxComponents]int
 	fresh := 0
 	for ci, comp := range phr.comps {
-		if remap[ci] = indexKey(f.compKeys, autoKey{phr.Gen, comp.key}); remap[ci] < 0 {
+		if remap[ci] = indexKey(f.compKeys, comp.key); remap[ci] < 0 {
 			remap[ci] = len(f.comps) + fresh
 			fresh++
 		}
 	}
 	mark := -1
 	if sub != nil {
-		if mark = indexKey(f.subKeys, autoKey{phr.Gen, sub.key}); mark < 0 {
+		if mark = indexKey(f.subKeys, sub.key); mark < 0 {
 			mark = len(f.subs)
 		}
 	}
@@ -145,16 +161,19 @@ func (f *Fleet) admit(phr *CompiledPHR, sub *subChecker) bool {
 		return false
 	}
 	// Commit: the fresh components take the next indices in order.
+	if phr.Names.Generation() > f.Names.Generation() {
+		f.Names = phr.Names
+	}
 	for ci, comp := range phr.comps {
 		if remap[ci] == len(f.comps) {
 			f.comps = append(f.comps, comp)
-			f.compKeys = append(f.compKeys, autoKey{phr.Gen, comp.key})
+			f.compKeys = append(f.compKeys, comp.key)
 		}
 	}
 	m := member{phr: phr, lo: len(f.bases)}
 	if mark == len(f.subs) {
 		f.subs = append(f.subs, sub)
-		f.subKeys = append(f.subKeys, autoKey{phr.Gen, sub.key})
+		f.subKeys = append(f.subKeys, sub.key)
 	}
 	if mark >= 0 {
 		m.mark = 1 << uint(mark)
@@ -300,9 +319,9 @@ func (f *Fleet) flush(s *scratch, allow uint64) {
 // resolveLabels appends the label id of every node of h, in pre-order, to
 // dst and returns the extended slice: element labels from names.Syms,
 // variables from names.Vars, alphabet.None for other leaves and for names
-// never interned. A fleet resolves against its members' Names, so a label
-// interned after compilation lies past the compiled alphabet and takes the
-// sink.
+// the view does not hold. A fleet resolves against the widest of its
+// members' views, so a label interned after a member's compilation lies
+// past that member's alphabet and takes its sink.
 func resolveLabels(h hedge.Hedge, names *ha.Names, dst []int32) []int32 {
 	for _, n := range h {
 		id := alphabet.None

@@ -114,14 +114,21 @@ type CompiledQuery struct {
 	Names *ha.Names
 
 	// Gen is the alphabet generation (Names.Generation) this query was
-	// compiled against. The compiled automata are closed-world over the
-	// symbols interned at that generation: '.'-sides and completed side
-	// automata silently exclude labels interned later. Callers that keep
-	// interning (parsing more documents) should compare Gen against
-	// Names.Generation() at evaluation time and recompile on mismatch —
-	// the xpe facade does this transparently through its compiled-query
-	// cache.
+	// compiled against. A '.'-side or '.'-bearing e₁ is closed-world over
+	// the symbols interned at that generation and silently excludes labels
+	// interned later. Callers that keep interning (parsing more documents)
+	// should compare Gen against Names.Generation() at evaluation time and
+	// recompile on mismatch, unless Stable — the xpe facade does this
+	// transparently through its compiled-query cache.
 	Gen uint64
+
+	// Stable reports that no side expression and no e₁ contains '.', so
+	// the compilation answers alike at every later generation: a label it
+	// does not mention takes its automata's sink whether it was interned
+	// before compilation (completion gives it a sink transition) or after
+	// (it lies past the tables). The PHR's own '.' ranges over its bases,
+	// not the alphabet.
+	Stable bool
 
 	phr *CompiledPHR
 	sub *subChecker // nil = any subhedge
@@ -150,7 +157,7 @@ func (cq *CompiledQuery) SetMetrics(m *metrics.Eval) { cq.phr.SetMetrics(m) }
 // traversal: it runs the complete DHA of e₁ and tests the child sequence
 // against the final DFA — exactly the marking bit of Theorem 3's M↓e.
 type subChecker struct {
-	key string // e₁'s rendering: its identity in a fleet
+	key autoKey // e₁'s identity in a fleet
 
 	dha *ha.DHA // map form, for the schema-level constructions
 	tab dhaTables
@@ -210,6 +217,10 @@ func CompileQueryOpt(q *Query, names *ha.Names, opts Options) (*CompiledQuery, e
 		return nil, err
 	}
 	cq.phr = phr
+	cq.Stable = q.Subhedge == nil || !q.Subhedge.MentionsAny()
+	for _, comp := range phr.comps {
+		cq.Stable = cq.Stable && comp.key.gen == 0
+	}
 	if q.Subhedge != nil {
 		nha, err := hre.Compile(q.Subhedge, names)
 		if err != nil {
@@ -226,7 +237,7 @@ func CompileQueryOpt(q *Query, names *ha.Names, opts Options) (*CompiledQuery, e
 				fin: det.DHA.Final.Complete().Table(),
 			}
 		}
-		cq.sub.key = q.Subhedge.String()
+		cq.sub.key = newAutoKey(q.Subhedge, q.Subhedge.String(), cq.Gen)
 	}
 	return cq, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"xpe/internal/ha"
@@ -169,6 +170,89 @@ func TestMatchAutomatonFuzz(t *testing.T) {
 				}
 				return true
 			})
+		}
+	}
+}
+
+// TestDotFreeCompilationsOutliveGrowth is the compile-order differential
+// over random queries. A query with no '.' in a side or e₁ is Stable: one
+// compiled against an alphabet view taken before the documents' labels
+// were interned locates exactly what one compiled after them locates, by
+// itself and in one fleet with it, and what the naive oracle locates. A
+// '.'-bearing query is never Stable.
+func TestDotFreeCompilationsOutliveGrowth(t *testing.T) {
+	rng := rand.New(rand.NewSource(2202))
+	cfg := hedge.RandConfig{Symbols: []string{"a", "b", "c"}, Vars: []string{"x", "y"}, MaxDepth: 4, MaxWidth: 3}
+	mentionsAny := func(q *Query) bool {
+		dot := q.Subhedge != nil && q.Subhedge.MentionsAny()
+		for _, b := range q.Envelope.Bases {
+			dot = dot || b.Left != nil && b.Left.MentionsAny() || b.Right != nil && b.Right.MentionsAny()
+		}
+		return dot
+	}
+	for checked, trial := 0, 0; checked < 60; trial++ {
+		q := &Query{Envelope: randPHR(rng)}
+		if rng.Intn(2) == 0 {
+			q.Subhedge = randSide(rng)
+		}
+		live := ha.NewNames()
+		PreinternQuery(q, live)
+		early, err := CompileQuery(q, live.View())
+		if err != nil {
+			t.Fatalf("trial %d (%s): %v", trial, q, err)
+		}
+		if early.Stable == mentionsAny(q) {
+			t.Fatalf("trial %d (%s): Stable = %v", trial, q, early.Stable)
+		}
+		if !early.Stable {
+			continue
+		}
+		checked++
+		docs := make([]hedge.Hedge, 12)
+		for i := range docs {
+			docs[i] = hedge.Random(rng, cfg)
+			syms, vars, _ := docs[i].Labels()
+			for _, s := range syms {
+				live.Syms.Intern(s)
+			}
+			for _, v := range vars {
+				live.Vars.Intern(v)
+			}
+		}
+		late, err := CompileQuery(q, live.View())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleets := AppendFleets(nil, []*CompiledQuery{early, late})
+		if len(fleets) != 1 || fleets[0].Names != late.Names {
+			t.Fatalf("trial %d: the two views form %d fleets, want one resolving against the wider", trial, len(fleets))
+		}
+		for _, h := range docs {
+			res := late.Select(h)
+			want := pathsOf(res)
+			if got := pathsOf(early.Select(h)); got != want {
+				t.Fatalf("trial %d: %s over %s: compiled before growth\n%s, after\n%s", trial, q, h, got, want)
+			}
+			var both [2]strings.Builder
+			fleets[0].Each(h, 3, func(m int, p hedge.Path, _ *hedge.Node) bool {
+				both[m].WriteString(p.String() + "\n")
+				return true
+			})
+			if both[0].String() != want || both[1].String() != want {
+				t.Fatalf("trial %d: %s over %s: fleet members located\n%s and\n%s, want\n%s", trial, q, h, &both[0], &both[1], want)
+			}
+			naive, err := SelectNaive(q, live, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(naive) != len(res.Located) {
+				t.Fatalf("trial %d: %s over %s: naive oracle located %d, Algorithm 1 %d", trial, q, h, len(naive), len(res.Located))
+			}
+			for n := range naive {
+				if !res.Located[n] {
+					t.Fatalf("trial %d: %s over %s: naive oracle located %s, Algorithm 1 did not", trial, q, h, n)
+				}
+			}
 		}
 	}
 }

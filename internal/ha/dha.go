@@ -24,7 +24,7 @@ import (
 // *Names. The interners are individually safe for concurrent use (see
 // package alphabet), so a Names may be shared by concurrent parsers and
 // evaluators; closed-world compilations record Generation and revalidate
-// when it moves.
+// when it moves. A Names is live, or a view of a live one (see View).
 type Names struct {
 	Syms *alphabet.Interner
 	Vars *alphabet.Interner
@@ -44,13 +44,25 @@ func (n *Names) Generation() uint64 {
 	return n.Syms.Generation() + n.Vars.Generation()
 }
 
-// Clone returns an independent snapshot of both interners. Closed-world
-// compilations build automata against a snapshot so that a concurrent
-// Intern into the shared Names cannot resize the alphabet mid-construction;
-// ids agree between a snapshot and its origin for every name present in
-// both, because interners are append-only.
+// Clone returns independent live copies of both interners.
 func (n *Names) Clone() *Names {
 	return &Names{Syms: n.Syms.Clone(), Vars: n.Vars.Clone()}
+}
+
+// View returns an immutable O(1) view of both interners as they stand.
+// Compilations build automata against a view so that a concurrent Intern
+// into the shared Names cannot resize the alphabet mid-construction; ids
+// agree between a view and its origin for every name the view holds,
+// because interners are append-only.
+func (n *Names) View() *Names {
+	return &Names{Syms: n.Syms.View(), Vars: n.Vars.View()}
+}
+
+// SameOrigin reports whether n and o are views of (or are) the same live
+// interners. Of two such Names the one with the larger Generation holds
+// every name of the other under the same id.
+func (n *Names) SameOrigin(o *Names) bool {
+	return n.Syms.Origin() == o.Syms.Origin() && n.Vars.Origin() == o.Vars.Origin()
 }
 
 // ExtensionOf reports whether n is an append-only extension of base: every

@@ -229,6 +229,22 @@ func (e *Expr) Walk(fn func(*Expr)) {
 	}
 }
 
+// MentionsAny reports whether the expression contains '.', the one
+// construct whose language depends on the alphabet interned when it is
+// compiled: any other expression sends a label it does not mention to the
+// automaton's sink, whenever that label was interned.
+func (e *Expr) MentionsAny() bool {
+	if e.Kind == KAny {
+		return true
+	}
+	for _, s := range e.Subs {
+		if s.MentionsAny() {
+			return true
+		}
+	}
+	return false
+}
+
 // AnySubst is the reserved substitution symbol '.' desugars through (see
 // AnyHedge). The NUL prefix keeps it outside the user-writable namespace.
 const AnySubst = "\x00any"

@@ -6,13 +6,17 @@ import (
 	"net/http"
 	"strconv"
 	"unicode/utf8"
+
+	"xpe"
 )
 
-// ndjson is an NDJSON response that flushes after every line. Lines stream
-// while the request body is still being split, so the response is full
-// duplex: an HTTP/1.x server otherwise discards the unread body at the
-// first flush, failing the next record's read. A writer without the
-// capability, such as a recorder, is unchanged.
+// ndjson is an NDJSON response that flushes once per record, after the
+// record's last match line, and after the summary or error line: a real
+// socket gets one chunk per record, not one per match. Lines stream while
+// the request body is still being split, so the response is full duplex:
+// an HTTP/1.x server otherwise discards the unread body at the first
+// flush, failing the next record's read. A writer without the capability,
+// such as a recorder, is unchanged.
 //
 // Match lines, one per located node, are appended by hand into one reused
 // buffer; the summary and error lines go through encoding/json.
@@ -30,13 +34,15 @@ func newNDJSON(w http.ResponseWriter) *ndjson {
 	return &ndjson{w: w, fl: fl}
 }
 
-// match writes one match line.
-func (n *ndjson) match(tenant, query string, record int, recordPath, path, term string) error {
-	n.buf = appendMatchLine(n.buf[:0], tenant, query, record, recordPath, path, term)
+// match writes one match line of m; the record's last flushes.
+func (n *ndjson) match(tenant, query string, m *xpe.StreamMatch) error {
+	n.buf = appendMatchLine(n.buf[:0], tenant, query, m.Record, m.RecordPath, m.Path, m.Term)
 	if _, err := n.w.Write(n.buf); err != nil {
 		return err
 	}
-	n.flush()
+	if m.RecordEnd {
+		n.flush()
+	}
 	return nil
 }
 

@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"xpe"
+	"xpe/internal/gen"
+	"xpe/internal/xmlhedge"
 )
 
 // matchLine is one NDJSON match as encoding/json encodes it: the reference
@@ -151,5 +153,138 @@ func TestFeedAllocsFlatInRecords(t *testing.T) {
 	}
 	if n := len(s.rollups.recorder("news").Traces()); n == 0 {
 		t.Fatal("the feed's flight recorder holds no trace: telemetry is off")
+	}
+}
+
+// flushCounter is a response writer that keeps the body and counts its
+// flushes, and the lines written before each one.
+type flushCounter struct {
+	h       http.Header
+	status  int
+	body    bytes.Buffer
+	flushed []int // lines written when each flush came
+}
+
+func (w *flushCounter) Header() http.Header         { return w.h }
+func (w *flushCounter) Write(p []byte) (int, error) { return w.body.Write(p) }
+func (w *flushCounter) WriteHeader(code int)        { w.status = code }
+func (w *flushCounter) Flush() {
+	w.flushed = append(w.flushed, bytes.Count(w.body.Bytes(), []byte("\n")))
+}
+
+// TestFlushOncePerRecord pins NDJSON flushing: a feed post or a one-shot
+// select flushes after each record's last match line and after the
+// summary, not after every match line, so a socket gets one chunk per
+// record.
+func TestFlushOncePerRecord(t *testing.T) {
+	// Records 0, 2 and 3 hold two figures and a table each; 1 and 4 none.
+	var b strings.Builder
+	b.WriteString("<feed>")
+	for i := 0; i < 5; i++ {
+		if i == 1 || i == 4 {
+			b.WriteString("<doc><para/></doc>")
+		} else {
+			b.WriteString("<doc><fig/><tab/><fig/></doc>")
+		}
+	}
+	b.WriteString("</feed>")
+	body := b.String()
+	for _, workers := range []int{1, 4} {
+		s, err := NewServer(Options{Engine: xpe.NewEngine(), Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, reg := range []string{
+			`{"tenant":"t","name":"figs","query":"fig doc*","feed":"news"}`,
+			`{"tenant":"t","name":"tabs","query":"tab doc*","feed":"news"}`,
+		} {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/queries", strings.NewReader(reg)))
+			if rec.Code != http.StatusCreated {
+				t.Fatalf("register %s: %d %s", reg, rec.Code, rec.Body)
+			}
+		}
+		for _, tc := range []struct {
+			url  string
+			want []int // lines written at each flush: after records 0, 2, 3, then the summary
+		}{
+			{"/v1/feed/news?split=doc", []int{3, 6, 9, 10}},
+			{"/v1/select?split=doc&query=fig+doc*", []int{2, 4, 6, 7}},
+		} {
+			w := &flushCounter{h: make(http.Header)}
+			s.ServeHTTP(w, httptest.NewRequest("POST", tc.url, strings.NewReader(body)))
+			if w.status != 0 && w.status != http.StatusOK {
+				t.Fatalf("workers=%d %s: status %d: %s", workers, tc.url, w.status, w.body.String())
+			}
+			if fmt.Sprint(w.flushed) != fmt.Sprint(tc.want) {
+				t.Errorf("workers=%d %s: flushes after lines %v, want %v:\n%s",
+					workers, tc.url, w.flushed, tc.want, w.body.String())
+			}
+		}
+	}
+}
+
+// TestServedStableCompileOrder is the served end of the compile-order
+// differential: a feed whose '.'-free queries were registered on a fresh
+// engine, before any document brought their labels, answers byte for
+// byte as one whose engine parsed the feed before the registrations. The
+// queries are the topic and churn shapes and the '.'-free dense sources.
+func TestServedStableCompileOrder(t *testing.T) {
+	var srcs []string
+	for k := 0; k < 8; k++ {
+		srcs = append(srcs, fmt.Sprintf("figure topic%d doc*", k))
+	}
+	srcs = append(srcs, "figure w0001q doc*", "figure w0002q doc*")
+	for _, src := range gen.DenseQueries() {
+		if !strings.Contains(src, ".") {
+			srcs = append(srcs, src)
+		}
+	}
+	var b bytes.Buffer
+	b.Write(selectiveFeed(64, 8))
+	b.Truncate(b.Len() - len("</corpus>"))
+	for i := 0; i < 3; i++ {
+		cfg := gen.DefaultDocConfig()
+		cfg.Seed = int64(i + 1)
+		s, err := xmlhedge.ToString(gen.Document(cfg, 200))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.WriteString(s)
+	}
+	b.WriteString("</corpus>")
+	body := b.String()
+	serve := func(parseFirst bool) string {
+		eng := xpe.NewEngine()
+		if parseFirst {
+			if _, err := eng.ParseXMLString(body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := NewServer(Options{Engine: eng, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, src := range srcs {
+			reg := fmt.Sprintf(`{"tenant":"t%d","name":"q%02d","query":%q,"feed":"news"}`, i/8, i, src)
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/queries", strings.NewReader(reg)))
+			if rec.Code != http.StatusCreated {
+				t.Fatalf("register %s: %d %s", reg, rec.Code, rec.Body)
+			}
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/feed/news?split=doc", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("feed post: %d %s", rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	before, after := serve(false), serve(true)
+	if before != after {
+		t.Fatalf("served answers differ by compile order:\n%s\n---\n%s", before, after)
+	}
+	if n := strings.Count(after, "\n"); n < 40 {
+		t.Fatalf("the feed located %d nodes: the corpus lost its point", n-1)
 	}
 }

@@ -808,7 +808,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	var werr error
 	stats, err = s.opts.Engine.SelectStream(r.Context(), r.Body, q, opts,
 		func(m xpe.StreamMatch) error {
-			werr = nd.match(tenantName, src+xp, m.Record, m.RecordPath, m.Path, m.Term)
+			werr = nd.match(tenantName, src+xp, &m)
 			return werr
 		})
 	if err == nil {
@@ -906,7 +906,7 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 		func(m xpe.MultiStreamMatch) error {
 			rq := regs[m.Query]
 			perQuery[m.Query]++
-			werr = nd.match(rq.Tenant, rq.Name, m.Record, m.RecordPath, m.Path, m.Term)
+			werr = nd.match(rq.Tenant, rq.Name, &m.StreamMatch)
 			return werr
 		})
 	if err == nil {

@@ -435,9 +435,11 @@ func runQueries(ctx context.Context, r io.Reader, qs []*core.CompiledQuery, cfg 
 	} else {
 		err = p.runParallel(ctx, r, ropts, workers)
 	}
-	// Both runs have stopped reading, so the reader's counters are final.
+	// Both runs have stopped reading, so the reader's counters are final
+	// and its buffer can go to the next run.
 	p.stats.Bytes = p.rr.InputOffset()
 	p.stats.Prefiltered = p.rr.Prefiltered()
+	p.rr.Release()
 	lzd := lazyTotals(qs).Sub(lz0)
 	p.stats.LazyStates = lzd.StatesBuilt
 	p.stats.LazyHits = lzd.Hits

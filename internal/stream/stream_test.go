@@ -287,6 +287,31 @@ func TestRunAllocsFlatInRecords(t *testing.T) {
 	}
 }
 
+// TestWarmRunGrowsNoReadBuffer pins the read-buffer reuse: a run hands its
+// read buffer on when it ends, so a second run over records of 1,500 nodes
+// (about 18 KB each) reads them in the buffer the first one grew, instead
+// of growing a fresh one from 4 KB to 32 KB (56 KB of doublings).
+func TestWarmRunGrowsNoReadBuffer(t *testing.T) {
+	cq := compile(t, ha.NewNames(), "[* ; a ; b .] (entry|feed)*")
+	record := "<entry>" + strings.Repeat("<p>some paragraph text</p>", 750) + "</entry>"
+	input := "<feed>" + strings.Repeat(record, 4) + "</feed>"
+	run := func() {
+		if _, err := Run(context.Background(), strings.NewReader(input), cq, Config{Workers: 1},
+			func(*Result) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // grows the buffer, and warms the arena and the pools
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<10 {
+		t.Fatalf("second run over 1,500-node records allocated %d B, want under 8 KB (no read-buffer growth)", got)
+	}
+}
+
 // eofProbe calls atEOF once, when the reader it wraps first reports
 // io.EOF: the moment the splitter has read the whole input.
 type eofProbe struct {
@@ -313,15 +338,18 @@ func TestTracedRunHeapFlatInSkippedRecords(t *testing.T) {
 	liveAtEOF := func(records int) int64 {
 		input := "<feed>" + strings.Repeat("<entry><c/></entry>", records) + "</feed>"
 		var ms runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		base := ms.HeapAlloc
-		var atEOF uint64
-		r := &eofProbe{r: strings.NewReader(input), atEOF: func() {
+		// Two collections empty the sync.Pool victim caches, which would
+		// otherwise count pooled objects the run never takes (an earlier
+		// test's batch arenas) in one reading and not the other.
+		liveHeap := func() uint64 {
+			runtime.GC()
 			runtime.GC()
 			runtime.ReadMemStats(&ms)
-			atEOF = ms.HeapAlloc
-		}}
+			return ms.HeapAlloc
+		}
+		base := liveHeap()
+		var atEOF uint64
+		r := &eofProbe{r: strings.NewReader(input), atEOF: func() { atEOF = liveHeap() }}
 		stats, err := Run(context.Background(), r, cq, Config{Workers: 1, Trace: trace.New(32)},
 			func(*Result) error { return nil })
 		if err != nil {

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // tailWindow is how far back rewind can re-anchor. It bounds the longest
@@ -32,6 +33,52 @@ const tailWindow = 256
 // errLookahead is fill's failure when a pin's cap leaves no room to read:
 // the skim gives up on the record and it parses normally.
 var errLookahead = errors.New("xmlhedge: prefilter lookahead exhausted")
+
+// errReleased is fill's failure after release.
+var errReleased = errors.New("xmlhedge: read after Release")
+
+// freeBufs holds the read buffers of released readers (see
+// RecordReader.Release): a buffer keeps the size its records grew it to, so
+// the next run over records alike reads without growing one. Unlike a
+// sync.Pool the list survives collections, so a GC between two runs does
+// not cost the next one its buffer; it keeps at most maxFreeBufs buffers
+// of at most maxFreeBuf bytes, so one huge record does not stay resident.
+var freeBufs struct {
+	sync.Mutex
+	bufs [][]byte
+}
+
+const (
+	maxFreeBufs = 4
+	maxFreeBuf  = 256 << 10
+)
+
+// getBuf takes a released buffer, or makes a 4 KB one.
+func getBuf() []byte {
+	freeBufs.Lock()
+	n := len(freeBufs.bufs)
+	if n == 0 {
+		freeBufs.Unlock()
+		return make([]byte, 4096)
+	}
+	b := freeBufs.bufs[n-1]
+	freeBufs.bufs[n-1] = nil
+	freeBufs.bufs = freeBufs.bufs[:n-1]
+	freeBufs.Unlock()
+	return b
+}
+
+// putBuf returns b to freeBufs, unless it is too big or the list is full.
+func putBuf(b []byte) {
+	if cap(b) > maxFreeBuf {
+		return
+	}
+	freeBufs.Lock()
+	if len(freeBufs.bufs) < maxFreeBufs {
+		freeBufs.bufs = append(freeBufs.bufs, b[:cap(b)])
+	}
+	freeBufs.Unlock()
+}
 
 // tailReader buffers reads from src in buf, unconsumed bytes in buf[r:w],
 // for the tokenizer and the resynchronization scanner alike. off is the
@@ -57,7 +104,19 @@ type tailReader struct {
 }
 
 func newTailReader(r io.Reader) *tailReader {
-	return &tailReader{src: r, buf: make([]byte, 4096), pin: -1}
+	return &tailReader{src: r, buf: getBuf(), pin: -1}
+}
+
+// release returns the buffer to freeBufs; later reads fail. Nothing a
+// reader hands out points into the buffer: node names and text are copied
+// into the arena or the heap, and errors and trace events carry copies.
+func (t *tailReader) release() {
+	if t.buf == nil {
+		return
+	}
+	putBuf(t.buf)
+	t.buf, t.r, t.w = nil, 0, 0
+	t.rerr = errReleased
 }
 
 // window returns the buffered unconsumed bytes, possibly none.

@@ -346,6 +346,13 @@ func NewRecordReader(r io.Reader, opts RecordOptions) *RecordReader {
 	return &RecordReader{tr: tr, tk: newTokenizer(tr), opts: opts, rootDepth: 1, counts: []int{0}}
 }
 
+// Release returns the reader's read buffer for reuse by readers created
+// later, which then read records of the same size without growing one.
+// Call it once the last record read is done with; records, nodes and
+// strings stay valid (none point into the buffer), but the reader itself
+// must not read again.
+func (rr *RecordReader) Release() { rr.tr.release() }
+
 // InputOffset returns the number of input bytes consumed so far.
 func (rr *RecordReader) InputOffset() int64 {
 	if rr.tk == nil {

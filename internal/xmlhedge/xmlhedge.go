@@ -34,6 +34,7 @@ type Options struct {
 // wrapped.
 func Parse(r io.Reader, opts Options) (hedge.Hedge, error) {
 	rr := NewRecordReader(r, RecordOptions{KeepWhitespace: opts.KeepWhitespace})
+	defer rr.Release()
 	rr.rootDepth = 0
 	var top hedge.Hedge
 	for {

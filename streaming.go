@@ -192,6 +192,10 @@ type StreamMatch struct {
 	// document. (The embedded Match carries the provenance when
 	// SelectOptions.Explain is set.)
 	RecordPath string
+	// RecordEnd marks the record's last match: the next match, if any,
+	// comes from a later record. A writer that flushes once per record
+	// flushes after it.
+	RecordEnd bool
 }
 
 // ErrStop, returned from a SelectStream yield callback, ends the stream
@@ -214,12 +218,16 @@ var ErrStop = stream.ErrStop
 // stream cleanly; any other error aborts it and is returned.
 //
 // The query is resolved against the engine's current alphabet generation
-// once, before the worker pool forks: if the alphabet grew since q was
-// compiled, SelectStream transparently recompiles (through the engine's
-// compiled-query cache) and every worker evaluates the same refreshed
-// automata. Within the run the alphabet is closed-world — labels first
-// seen mid-stream are record text, not interned symbols, so they fail
-// '.'-sides exactly as an unknown label does for Select. Errors are typed:
+// once, before the worker pool forks: if the alphabet grew since a
+// '.'-bearing or XPath q was compiled, SelectStream transparently
+// recompiles (through the engine's compiled-query cache) and every worker
+// evaluates the same refreshed automata; a query without '.' keeps its
+// compilation, which answers alike at every generation. Within the run
+// the alphabet is closed-world — labels first seen mid-stream are record
+// text, not interned symbols, so they fail '.'-sides exactly as an
+// unknown label does for Select. Streams intern nothing, not even the
+// text variable ParseXML interns, so on an engine that has parsed no
+// document a '.'-side rejects text leaves that Select would accept. Errors are typed:
 // *ParseError for malformed XML, *LimitError for an exceeded resource
 // bound, *RecordError (wrapping the cause, including *InternalError for a
 // panicking evaluation) when an OnError policy aborted on a failed record.
@@ -344,6 +352,7 @@ func (e *Engine) selectStream(ctx context.Context, r io.Reader, qs []*Query, opt
 			sm := StreamMatch{
 				Record:     res.Index,
 				RecordPath: recPath,
+				RecordEnd:  i == len(res.Matches)-1,
 			}
 			if opts.ReuseBuffers {
 				matchBuf = m.Path.AppendString(matchBuf[:0])

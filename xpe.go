@@ -59,12 +59,19 @@ import (
 // The alphabet is versioned: interning a fresh label (parsing a document
 // with new element names, Rename with a new target) advances a generation
 // counter, and every compiled query and schema is stamped with the
-// generation it was compiled against. Evaluation entry points (Select*,
-// Matches, SelectStream, Validate, Transform*) compare stamps against the
-// current generation and transparently recompile through a bounded
-// engine-level LRU cache on mismatch — so compile order is not semantics:
-// a query compiled before its documents behaves exactly like one compiled
-// after them. Cache traffic is visible in Stats().Cache.
+// generation it was compiled against. Only '.' reads the alphabet, so a
+// query with no '.' in a side or e₁ stays valid at every later generation
+// and is never recompiled. For the rest — '.'-bearing queries, XPath
+// translations and grammar-backed schemas — evaluation entry points
+// (Select*, Matches, SelectStream, Validate, Transform*) compare stamps
+// against the current generation and transparently recompile through a
+// bounded engine-level LRU cache on mismatch. Either way compile order is
+// not semantics: a query compiled before its documents behaves exactly
+// like one compiled after them. Cache traffic is visible in Stats().Cache.
+//
+// Compilations build their automata against a snapshot of the alphabet: an
+// immutable view of the live interners at one generation, taken in O(1)
+// and shared by every compilation at that generation.
 //
 // An Engine is safe for concurrent use: documents may be parsed and
 // queries evaluated from any number of goroutines sharing one Engine.
@@ -74,7 +81,8 @@ type Engine struct {
 	// through this engine flush evaluation counters into it (see Stats).
 	metrics *metrics.Metrics
 	// cache holds compiled queries keyed by source × kind × alphabet
-	// generation; generation-mismatch recompiles go through it.
+	// generation, or by source × kind alone for a stable compilation;
+	// generation-mismatch recompiles go through it.
 	cache *compiledCache
 	// recorder is the engine-wide flight recorder, nil when detached
 	// (the common case: evaluation pays one atomic load per call). See
@@ -82,9 +90,9 @@ type Engine struct {
 	recorder atomic.Pointer[FlightRecorder]
 
 	// snapMu guards the cached alphabet snapshot below. Compilations build
-	// automata against an immutable clone of the live alphabet (a concurrent
+	// automata against an immutable view of the live alphabet (a concurrent
 	// Intern cannot resize it mid-construction), and every compilation at
-	// one generation shares the same clone — the pointer identity the
+	// one generation shares the same view — the pointer identity the
 	// product constructions of Section 8 require across schema and query.
 	snapMu  sync.Mutex
 	snap    *ha.Names
@@ -143,19 +151,18 @@ func WithLazyTransitionBudget(n int) EngineOption {
 	}
 }
 
-// snapshot returns the shared frozen alphabet clone for the current
-// generation (cloning at most once per generation). Compilations only ever
-// perform idempotent interns against it — every fresh name is published to
-// the live alphabet before the snapshot is taken — so the clone is
-// effectively immutable and safe to share across concurrent compiles.
+// snapshot returns the shared alphabet view for the current generation
+// (one view per generation, each O(1) to take). Compilations only look
+// names up in it — every fresh name is published to the live alphabet
+// before the snapshot is taken — so one view serves concurrent compiles.
 func (e *Engine) snapshot() (*ha.Names, uint64) {
 	gen := e.names.Generation()
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
 	if e.snap == nil || e.snapGen != gen {
-		e.snap = e.names.Clone()
-		// A concurrent intern during Clone may have slipped extra names in;
-		// the clone's own generation is exact for its contents.
+		e.snap = e.names.View()
+		// A concurrent intern may land between reading gen and taking the
+		// view; the view's own generation is exact for its contents.
 		e.snapGen = e.snap.Generation()
 	}
 	return e.snap, e.snapGen
@@ -236,10 +243,11 @@ func (d *Document) Term() string { return d.hedge.String() }
 // XML serializes the document back to XML.
 func (d *Document) XML() (string, error) { return xmlhedge.ToString(d.hedge) }
 
-// Query is a compiled selection query. It may be shared across goroutines:
-// the underlying compiled automata are replaced atomically when the
-// engine's alphabet outgrows them (see Engine and CompileQuery on
-// generation tracking).
+// Query is a compiled selection query. It may be shared across goroutines.
+// A query with no '.' in a side or e₁ keeps its first compilation for
+// life; for any other, and for every XPath query, the underlying compiled
+// automata are replaced atomically when the engine's alphabet outgrows
+// them (see Engine and CompileQuery on generation tracking).
 type Query struct {
 	eng  *Engine
 	src  string
@@ -247,17 +255,22 @@ type Query struct {
 	cq   atomic.Pointer[core.CompiledQuery]
 }
 
-// compiled returns the query's automata, revalidated against the engine's
-// current alphabet generation. The unchanged-generation fast path is two
-// atomic loads and a compare; on mismatch the source is recompiled through
-// the engine cache (so repeat revalidations and sibling Query objects with
-// the same source share one recompile) and the fresh compilation is
-// installed for the next caller. Recompilation of a source that compiled
-// once cannot fail short of a racing alphabet change; if it somehow does,
-// the previous compilation is kept — stale automata answer exactly as the
-// documented pre-generation-tracking semantics did.
+// compiled returns the query's automata, valid at the engine's current
+// alphabet generation. A stable compilation is valid at every generation
+// and comes back after one atomic load. Any other is revalidated: the
+// unchanged-generation fast path is two atomic loads and a compare; on
+// mismatch the source is recompiled through the engine cache (so repeat
+// revalidations and sibling Query objects with the same source share one
+// recompile) and the fresh compilation is installed for the next caller.
+// Recompilation of a source that compiled once cannot fail short of a
+// racing alphabet change; if it somehow does, the previous compilation is
+// kept — stale automata answer exactly as the documented
+// pre-generation-tracking semantics did.
 func (q *Query) compiled() *core.CompiledQuery {
 	cq := q.cq.Load()
+	if stable(q.kind, cq) {
+		return cq
+	}
 	gen := q.eng.names.Generation()
 	if cq.Gen == gen {
 		return cq
@@ -270,29 +283,69 @@ func (q *Query) compiled() *core.CompiledQuery {
 	return ncq
 }
 
+// current returns a compilation of the query against the current alphabet
+// snapshot, as a product with a schema needs (both over one Names). A
+// stable compilation from an earlier generation answers alike but holds an
+// older view, so this rare path compiles the source again, through the
+// cache under the current generation.
+func (q *Query) current() *core.CompiledQuery {
+	cq := q.compiled()
+	gen := q.eng.names.Generation()
+	if cq.Gen == gen {
+		return cq
+	}
+	if ncq, err := q.eng.cache.get(cacheKey{kind: q.kind, gen: gen, src: q.src}, q.eng.compiler(q.kind, q.src)); err == nil {
+		return ncq
+	}
+	return cq
+}
+
+// stable reports whether cq, compiled from a source of the given kind, is
+// valid at every alphabet generation: a selection query with no '.' in a
+// side or e₁. An XPath translation never is: '//' and '*' expand over the
+// labels interned when it is translated.
+func stable(kind byte, cq *core.CompiledQuery) bool { return kind == kindQuery && cq.Stable }
+
 // compileThroughCache resolves (kind, src) at the given alphabet
-// generation via the engine's LRU cache, compiling on miss. A first
-// compile of a source with fresh labels advances the generation while
-// compiling; the result is additionally aliased under its post-compile
-// generation so the very next same-source compile is a hit.
+// generation via the engine's LRU cache, compiling on miss. A stable
+// compilation is cached under the source alone (gen anyGen), where every
+// later request finds it whatever the generation. A first compile of a
+// source with fresh labels advances the generation while compiling; any
+// other result is additionally aliased under its post-compile generation
+// so the very next same-source compile is a hit.
 func (e *Engine) compileThroughCache(kind byte, src string, gen uint64) (*core.CompiledQuery, error) {
-	cq, err := e.cache.get(cacheKey{kind: kind, gen: gen, src: src}, func() (*core.CompiledQuery, error) {
+	anyKey := cacheKey{kind: kind, gen: anyGen, src: src}
+	if cq := e.cache.lookup(anyKey); cq != nil {
+		return cq, nil
+	}
+	key := cacheKey{kind: kind, gen: gen, src: src}
+	cq, err := e.cache.get(key, e.compiler(kind, src))
+	switch {
+	case err != nil:
+	case stable(kind, cq):
+		e.cache.rekey(key, anyKey)
+	case cq.Gen != gen:
+		e.cache.put(cacheKey{kind: kind, gen: cq.Gen, src: src}, cq)
+	}
+	return cq, err
+}
+
+// compiler returns the cache's compile function for (kind, src): the
+// compile pipeline, with the engine's metrics sink attached.
+func (e *Engine) compiler(kind byte, src string) func() (*core.CompiledQuery, error) {
+	return func() (*core.CompiledQuery, error) {
 		cq, err := e.compileSource(kind, src)
 		if err != nil {
 			return nil, err
 		}
 		cq.SetMetrics(&e.metrics.Eval)
 		return cq, nil
-	})
-	if err == nil && cq.Gen != gen {
-		e.cache.put(cacheKey{kind: kind, gen: cq.Gen, src: src}, cq)
 	}
-	return cq, err
 }
 
 // compileSource runs the parse/translate-and-compile pipeline for one
 // query source. The query's own names are published to the live alphabet
-// first; the automata are then built against the shared frozen snapshot of
+// first; the automata are then built against the shared snapshot view of
 // the current generation, so a concurrent ParseXML can never resize the
 // alphabet mid-construction. XPath sources re-translate on every compile:
 // the translation itself enumerates the interned alphabet ('//' expands
@@ -381,16 +434,19 @@ func (e *Engine) newQuery(kind byte, src string, cq *core.CompiledQuery) *Query 
 // a<~z> substitution targets with e^z vertical closure and e1 %z e2
 // embedding.
 //
-// Compile order does not matter: '.' and schema products are closed-world
-// over the engine's interned alphabet, but the compiled query is stamped
-// with the alphabet generation it ranges over and every evaluation entry
-// point revalidates the stamp. Parsing a document with fresh labels after
-// compiling simply makes the query's next evaluation recompile — once,
-// through the engine's bounded LRU cache (repeat evaluations at the same
-// generation, and other queries with the same source, are cache hits).
-// The recompile costs what CompileQuery cost; the unchanged-generation
-// fast path costs two atomic loads. Stats().Cache reports hits, misses,
-// and evictions.
+// Compile order does not matter. A query with no '.' in a side or e₁ does
+// not depend on the alphabet: a label it does not mention falls to its
+// automata's sink whether it was interned before compilation or after, so
+// it compiles once, is cached under its source alone, and is never
+// recompiled. '.' and schema products are closed-world over the engine's
+// interned alphabet, so a '.'-bearing query is stamped with the alphabet
+// generation it ranges over and every evaluation entry point revalidates
+// the stamp. Parsing a document with fresh labels after compiling one
+// simply makes its next evaluation recompile — once, through the engine's
+// bounded LRU cache (repeat evaluations at the same generation, and other
+// queries with the same source, are cache hits). The recompile costs what
+// CompileQuery cost; the unchanged-generation fast path costs two atomic
+// loads. Stats().Cache reports hits, misses, and evictions.
 func (e *Engine) CompileQuery(src string) (*Query, error) {
 	if e.optErr != nil {
 		return nil, e.optErr
@@ -535,11 +591,10 @@ func (e *Engine) ParseSchema(src string) (*Schema, error) {
 // against a private clone of the alphabet, so the first compile of a
 // grammar with fresh labels cannot mutate anything shared; the labels it
 // finds are published to the live alphabet. The real pass then builds the
-// automata against the shared frozen snapshot of the current generation —
-// at that point every grammar name is interned, so the parse performs only
-// idempotent lookups and the snapshot stays immutable. The stamp is exact
-// when no concurrent intern raced the snapshot, and conservatively stale
-// (forcing one later revalidation) when one did.
+// automata against the shared snapshot view of the current generation. A
+// grammar interns the same names whatever the alphabet holds, so at that
+// point the view holds every one of them and the parse only looks names
+// up.
 func (e *Engine) compileSchema(src string) (*schemaState, error) {
 	probe := e.names.Clone()
 	if _, err := schema.ParseGrammar(src, probe); err != nil {
@@ -551,24 +606,12 @@ func (e *Engine) compileSchema(src string) (*schemaState, error) {
 	for _, v := range probe.Vars.Names() {
 		e.names.Vars.Intern(v)
 	}
-	for attempt := 0; ; attempt++ {
-		snap, gen := e.snapshot()
-		s, err := schema.ParseGrammar(src, snap)
-		if err != nil {
-			return nil, wrapCompileErr(err, src)
-		}
-		if snap.Generation() == gen || attempt >= 2 {
-			return &schemaState{gen: gen, s: s}, nil
-		}
-		// Paranoia: the parse interned a name discovery missed. Publish it
-		// and go around with a fresh snapshot.
-		for _, a := range snap.Syms.Names() {
-			e.names.Syms.Intern(a)
-		}
-		for _, v := range snap.Vars.Names() {
-			e.names.Vars.Intern(v)
-		}
+	snap, gen := e.snapshot()
+	s, err := schema.ParseGrammar(src, snap)
+	if err != nil {
+		return nil, wrapCompileErr(err, src)
 	}
+	return &schemaState{gen: gen, s: s}, nil
 }
 
 // compiled returns the schema's automata revalidated against the current
@@ -623,9 +666,9 @@ const (
 // engine extend each other — the extension labels fall to the rebased
 // automaton's sink, preserving its closed world).
 func (s *Schema) resolvePair(q *Query) (*schema.Schema, *core.CompiledQuery) {
-	sc, cqc := s.compiled(), q.compiled()
+	sc, cqc := s.compiled(), q.current()
 	for i := 0; i < 2 && sc.Names != cqc.Names; i++ {
-		sc, cqc = s.compiled(), q.compiled()
+		sc, cqc = s.compiled(), q.current()
 	}
 	if sc.Names != cqc.Names {
 		if r := schema.Rebase(sc, cqc.Names); r != nil {
@@ -727,9 +770,10 @@ func (q *Query) Rename(d *Document, newLabel string) *Document {
 // extended path expressions.
 //
 // The translation enumerates the interned alphabet ('//' expands per
-// label), so it is even more generation-sensitive than query compilation;
-// like CompileQuery the result is stamped and transparently re-translated
-// and recompiled when evaluated after the alphabet has grown.
+// label), so it is even more generation-sensitive than query compilation:
+// whether or not the translation holds a '.', the result is stamped and
+// transparently re-translated and recompiled when evaluated after the
+// alphabet has grown.
 func (e *Engine) CompileXPath(src string) (*Query, error) {
 	if e.optErr != nil {
 		return nil, e.optErr
@@ -747,7 +791,8 @@ func (e *Engine) CompileXPath(src string) (*Query, error) {
 func (e *Engine) Names() *ha.Names { return e.names }
 
 // Compiled exposes the compiled core query, revalidated against the
-// current alphabet generation exactly as the evaluation entry points do.
+// current alphabet generation exactly as the evaluation entry points do
+// (a stable compilation is returned as compiled).
 func (q *Query) Compiled() *core.CompiledQuery { return q.compiled() }
 
 // Underlying exposes the compiled schema, revalidated like Validate does.
